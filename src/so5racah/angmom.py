@@ -2,43 +2,32 @@
 
 The angular momentum operator mixes the two SU(2) chains: L weights are
 M_L = M_X + 3*M_Y, so a chain (III) basis state spans several weight
-points of the same M_L.  Generators are realized as exact sparse
-matrices over the full weight basis of the irrep; brackets are built by
-inward laddering with Gram-Schmidt completion per M_L level, mirroring
-the chain (II) construction.
+points of the same M_L.  The chain has a single sector; its lowering
+operator is L_- = 2 X_- + 2 sqrt(3) T_{+-}, the sqrt(2) L^(1)_{-1} of
+the generator matrices below.  The laddering, the L.L check and the
+coefficient transformation are the ones of `chains`.
 """
 
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .errors import (DegenerateForm, InternalInconsistency,
-                     LadderNullUnexpected)
-from .exact import RS_ONE, RS_ZERO, Radical, root_of_rational, rs
-from .halfint import HalfInt, mrange, triangle
-from .isospin import BracketSet, _t_elem
-from .so4 import so4_cg
-from .so5 import so5_branch_so4
+from .chains import BracketSet, ladder, op_add, op_compose, op_scale, \
+    primitive, transform, verify_brackets, weight_basis
+from .errors import InternalInconsistency
+from .exact import Radical
+from .halfint import HalfInt
 from .su2 import su2_cg
 
 
-def chain3_basis(g):
-    """Weight basis (lam, M_X, M_Y) ordered by (label, M_X, M_Y)."""
-    out = []
-    for lam in so5_branch_so4(g):
-        for mx in mrange(lam.X):
-            for my in mrange(lam.Y):
-                out.append((lam, mx, my))
-    return out
-
-
-def _ml_twice(state):
+def chain3_level(state):
+    """(0, M_L) of a weight basis state: one sector, M_L = M_X + 3 M_Y."""
     _, mx, my = state
-    return mx.twice + 3 * my.twice
+    return 0, HalfInt(mx.twice + 3 * my.twice)
 
 
 def chain3_branch(g):
     """(L, multiplicity) pairs by weight counting along M_L = M_X + 3M_Y."""
-    counts = Counter(_ml_twice(s) for s in chain3_basis(g))
+    counts = Counter(chain3_level(s)[1].twice for s in weight_basis(g))
     out = []
     top = max(counts)
     for tl in range(top % 2, top + 1, 2):
@@ -51,136 +40,20 @@ def chain3_branch(g):
 
 
 def chain3_mult(g, l):
-    for lv, mu in chain3_branch(g):
-        if lv == l:
-            return mu
-    return 0
+    return dict(chain3_branch(g)).get(l, 0)
 
 
-class Chain3Ops:
-    """Sparse matrices of L^(1) and O^(3) over the weight basis.
+# -- generator matrices ----------------------------------------------------
 
-    Matrices are column-major: mat[j] is a dict {i: value} so that
-    (M v)[i] = sum_j mat[j][i] * v[j].
-    """
-
-    __slots__ = ("irrep", "basis", "index", "L", "O")
-
-    def __init__(self, irrep, basis, index, L, O):
-        self.irrep = irrep
-        self.basis = basis
-        self.index = index
-        self.L = L
-        self.O = O
-
-
-def op_apply(mat, vec):
-    out = {}
-    for j, c in vec.items():
-        col = mat.get(j)
-        if not col:
-            continue
-        for i, a in col.items():
-            v = out.get(i, RS_ZERO) + a * c
-            if v.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = v
-    return out
-
-
-def op_compose(a, b):
-    out = {}
-    for j, col in b.items():
-        new = op_apply(a, col)
-        if new:
-            out[j] = new
-    return out
-
-
-def op_add(*mats):
-    out = {}
-    for m in mats:
-        for j, col in m.items():
-            dst = out.setdefault(j, {})
-            for i, v in col.items():
-                s = dst.get(i, RS_ZERO) + v
-                if s.is_zero():
-                    dst.pop(i, None)
-                else:
-                    dst[i] = s
-            if not dst:
-                del out[j]
-    return out
-
-
-def op_scale(c, mat):
-    return {j: {i: rs(v * c) for i, v in col.items()} for j, col in mat.items()}
-
-
-def op_is_zero(mat):
-    return all(v.is_zero() for col in mat.values() for v in col.values())
-
-
-def _primitive_ops(g):
-    """X/Y ladders and the four bitensor generator components T_{mu nu},
-    all as sparse column-major matrices over chain3_basis(g)."""
-    basis = chain3_basis(g)
-    index = {s: k for k, s in enumerate(basis)}
-
-    def ladder(which, direction):
-        mat = {}
-        for j, (lam, mx, my) in enumerate(basis):
-            if which == "X":
-                jj, m = lam.X, mx
-                tgt = (lam, m + direction, my)
-            else:
-                jj, m = lam.Y, my
-                tgt = (lam, mx, m + direction)
-            p = ((jj.twice - direction * m.twice) // 2) \
-                * ((jj.twice + direction * m.twice) // 2 + 1)
-            if p <= 0:
-                continue
-            mat[j] = {index[tgt]: rs(root_of_rational(1, Fraction(p)))}
-        return mat
-
-    def tcomp(tmu, tnu):
-        mat = {}
-        for j, (lam, mx, my) in enumerate(basis):
-            col = {}
-            for lamp in so5_branch_so4(g):
-                tgt = (lamp, mx + HalfInt(tmu), my + HalfInt(tnu))
-                i = index.get(tgt)
-                if i is None:
-                    continue
-                el = _t_elem(g, lamp, (tgt[1], tgt[2]), lam, (mx, my), tmu, tnu)
-                if not el.is_zero():
-                    col[i] = rs(el)
-            if col:
-                mat[j] = col
-        return mat
-
-    def diag(fn):
-        mat = {}
-        for j, (lam, mx, my) in enumerate(basis):
-            v = fn(mx, my)
-            if v:
-                mat[j] = {j: rs(v)}
-        return mat
-
-    return basis, index, {
-        "X+": ladder("X", 1), "X-": ladder("X", -1),
-        "Y+": ladder("Y", 1), "Y-": ladder("Y", -1),
-        "T++": tcomp(1, 1), "T+-": tcomp(1, -1),
-        "T-+": tcomp(-1, 1), "T--": tcomp(-1, -1),
-        "X0": diag(lambda mx, my: mx.as_fraction()),
-        "Y0": diag(lambda mx, my: my.as_fraction()),
-    }
+# sparse matrices of L^(1) and O^(3) over the weight basis, by component
+Chain3Ops = namedtuple("Chain3Ops", "irrep basis L O")
 
 
 def chain3_generator_matrices(g):
     """L^(1) and O^(3) spherical components in the weight basis."""
-    basis, index, p = _primitive_ops(g)
+    basis = weight_basis(g)
+    p = {name: primitive(g, basis, name) for name in
+         ("X+", "X-", "Y+", "Y-", "X0", "Y0", "T++", "T+-", "T-+", "T--")}
     r2 = Radical(Fraction(1), 2)
     r3 = Radical(Fraction(1), 3)
     r5 = Radical(Fraction(1), 5)
@@ -200,7 +73,7 @@ def chain3_generator_matrices(g):
         -2: op_scale(-r10, p["T--"]),
         -3: op_scale(r5, p["Y-"]),
     }
-    return Chain3Ops(g, basis, index, L, O)
+    return Chain3Ops(g, basis, L, O)
 
 
 def coupled_commutator(ops_a, ka, ops_b, kb, k, q):
@@ -219,205 +92,38 @@ def coupled_commutator(ops_a, ka, ops_b, kb, k, q):
     return out
 
 
-def lsquared(ops):
-    """L.L = L_0^2 - L_{+1}L_{-1} - L_{-1}L_{+1}."""
-    return op_add(op_compose(ops.L[0], ops.L[0]),
-                  op_scale(-1, op_compose(ops.L[1], ops.L[-1])),
-                  op_scale(-1, op_compose(ops.L[-1], ops.L[1])))
+# -- brackets and tables ---------------------------------------------------
+
+def chain3_lowering(g, basis):
+    """L_- = 2 X_- + 2 sqrt(3) T_{+-} over the weight basis of g."""
+    return op_add(op_scale(2, primitive(g, basis, "X-")),
+                  op_scale(Radical(Fraction(2), 3), primitive(g, basis, "T+-")))
 
 
-# -- transformation brackets -----------------------------------------------
-
-def chain3_brackets(g, ops=None):
-    """Chain (III) brackets by inward laddering along M_L with
-    Gram-Schmidt completion at each level; alpha is creation order."""
-    if ops is None:
-        ops = chain3_generator_matrices(g)
-    basis = ops.basis
-    levels = {}
-    for k, s in enumerate(basis):
-        levels.setdefault(_ml_twice(s), []).append(k)
-    # candidate order within a level: (label canonical, M_X ascending);
-    # the basis enumeration already sorts that way, so keep index order
-    lminus = op_scale(r2 := Radical(Fraction(1), 2), ops.L[-1])
-    # L_- = sqrt(2) L^(1)_{-1}
-    top = max(levels)
-    entries = {}
-    live = []  # [L, alpha, vec dict index -> RadicalSum]
-    for tml in range(top, min(levels) - 1, -2):
-        ml = HalfInt(tml)
-        members = levels.get(tml, [])
-        stepped = []
-        for l, alpha, vec in live:
-            if ml < -l:
-                continue
-            new = op_apply(lminus, vec)
-            if not new:
-                raise LadderNullUnexpected(
-                    "L_- annihilated (L=%s alpha=%d) at M_L=%s in %s"
-                    % (l, alpha, ml, g))
-            p = (((l.twice + ml.twice) // 2 + 1) * ((l.twice - ml.twice) // 2))
-            scale = root_of_rational(1, Fraction(p))
-            stepped.append([l, alpha, {i: v / scale for i, v in new.items()}])
-        live = stepped
-        if tml >= 0:
-            mu = chain3_mult(g, ml)
-            added = 0
-            for cand in members:
-                if added == mu:
-                    break
-                resid = {cand: RS_ONE}
-                for _, _, vec in live:
-                    c = vec.get(cand)
-                    if c is None or c.is_zero():
-                        continue
-                    for i, v in vec.items():
-                        r = resid.get(i, RS_ZERO) - c * v
-                        if r.is_zero():
-                            resid.pop(i, None)
-                        else:
-                            resid[i] = r
-                if not resid:
-                    continue
-                norm2 = RS_ZERO
-                for v in resid.values():
-                    norm2 = norm2 + v * v
-                if not norm2.is_rational():
-                    raise DegenerateForm(
-                        "irrational residual norm at M_L=%s of %s" % (ml, g))
-                q = norm2.rational()
-                if q <= 0:
-                    raise DegenerateForm(
-                        "nonpositive residual norm at M_L=%s of %s" % (ml, g))
-                scale = root_of_rational(1, q)
-                added += 1
-                live.append([ml, added, {i: v / scale for i, v in resid.items()}])
-            if added < mu:
-                raise InternalInconsistency(
-                    "could not seat %d new L=%s multiplets in %s" % (mu, ml, g))
-        if len(live) != len(members):
-            raise InternalInconsistency(
-                "level M_L=%s of %s: %d vectors for %d states"
-                % (ml, g, len(live), len(members)))
-        for l, alpha, vec in live:
-            entries[(alpha, l, ml)] = tuple(
-                ((basis[i][0], (basis[i][1], basis[i][2])), v)
-                for i, v in sorted(vec.items()))
-    return BracketSet(g, "angmom", entries)
+def _split(key):
+    return (0,) + key
 
 
-def verify_chain3_brackets(g, bs, ops=None):
+def chain3_brackets(g):
+    """Chain (III) brackets keyed (alpha, L, M_L); alpha is creation order."""
+    basis = weight_basis(g)
+    entries = ladder(basis, chain3_level, chain3_lowering(g, basis))
+    return BracketSet(g, "angmom", {key[1:]: terms for key, terms in entries.items()})
+
+
+def verify_chain3_brackets(g, bs):
     """Unitarity per M_L level and the L.L eigen-relation; list of problems."""
-    if ops is None:
-        ops = chain3_generator_matrices(g)
-    problems = []
-    l2 = lsquared(ops)
-    by_level = {}
-    for key, pairs in bs.entries.items():
-        vec = {ops.index[(lam, w[0], w[1])]: v for (lam, w), v in pairs}
-        by_level.setdefault(key[2].twice, []).append((key, vec))
-    counts = Counter(_ml_twice(s) for s in ops.basis)
-    for tml, group in sorted(by_level.items()):
-        if len(group) != counts.get(tml, 0):
-            problems.append("level M_L=%s/2: %d vectors, %d states"
-                            % (tml, len(group), counts.get(tml, 0)))
-        for i, (ka, va) in enumerate(group):
-            for kb, vb in group[i:]:
-                dot = RS_ZERO
-                for j, c in va.items():
-                    d = vb.get(j)
-                    if d is not None:
-                        dot = dot + c * d
-                want = RS_ONE if ka == kb else RS_ZERO
-                if dot != want:
-                    problems.append("brackets %s . %s = %s" % (ka, kb, dot))
-        for key, vec in group:
-            l = key[1]
-            ev = Fraction(l.twice * (l.twice + 2), 4)
-            out = op_apply(l2, vec)
-            ok = True
-            for j in set(out) | set(vec):
-                lhs = out.get(j, RS_ZERO)
-                r = vec.get(j)
-                if r is not None:
-                    lhs = lhs - r * ev
-                if not lhs.is_zero():
-                    ok = False
-                    break
-            if not ok:
-                problems.append("L.L eigen-relation fails for %s" % (key,))
-    return problems
+    basis = weight_basis(g)
+    return verify_brackets(bs, basis, chain3_level,
+                           chain3_lowering(g, basis), _split)
 
-
-# -- coefficient transformation --------------------------------------------
 
 Chain3Row = namedtuple("Chain3Row", "a1 l1 a2 l2 a l values")
 
 
-def _transform_value(block, br1, br2, br, a1, l1, a2, l2, a, l, rho, ml):
-    total = RS_ZERO
-    vec = br.entries[(a, l, ml)]
-    for tml1 in range(-l1.twice, l1.twice + 1, 2):
-        ml1 = HalfInt(tml1)
-        ml2 = ml - ml1
-        if abs(ml2) > l2:
-            continue
-        cgl = su2_cg(l1, ml1, l2, ml2, l, ml)
-        if cgl.is_zero():
-            continue
-        v1 = br1.entries[(a1, l1, ml1)]
-        v2 = br2.entries[(a2, l2, ml2)]
-        for (lam, w), c in vec:
-            for (lam1, w1), c1 in v1:
-                mx2 = w[0] - w1[0]
-                my2 = w[1] - w1[1]
-                for (lam2, w2), c2 in v2:
-                    if w2 != (mx2, my2):
-                        continue
-                    cc = block.value(lam1, lam2, lam, rho)
-                    if cc.is_zero():
-                        continue
-                    cg4 = so4_cg(lam1, w1, lam2, w2, lam, w)
-                    if cg4.is_zero():
-                        continue
-                    total = total + (c1 * c2) * (c * cc) * (cgl * cg4)
-    return total
-
-
-def chain3_transform(block, br1=None, br2=None, br=None, verify=True):
-    """Chain (III) reduced coupling coefficients for the coupling in
-    block, evaluated at M_L = L (and checked at a second M_L)."""
-    if br1 is None:
-        br1 = chain3_brackets(block.g1)
-    if br2 is None:
-        br2 = chain3_brackets(block.g2)
-    if br is None:
-        br = chain3_brackets(block.g)
-    rows = []
-    for l1, mu1 in chain3_branch(block.g1):
-        for l2, mu2 in chain3_branch(block.g2):
-            for l, mu in chain3_branch(block.g):
-                if not triangle(l1, l2, l):
-                    continue
-                for a1 in range(1, mu1 + 1):
-                    for a2 in range(1, mu2 + 1):
-                        for a in range(1, mu + 1):
-                            vals = []
-                            for rho in range(1, block.D + 1):
-                                v = _transform_value(block, br1, br2, br,
-                                                     a1, l1, a2, l2, a, l,
-                                                     rho, l)
-                                if verify and l.twice >= 1:
-                                    v2 = _transform_value(
-                                        block, br1, br2, br, a1, l1, a2, l2,
-                                        a, l, rho, l - 1)
-                                    if v != v2:
-                                        raise InternalInconsistency(
-                                            "M_L dependence at %s"
-                                            % ((l1, l2, l, rho),))
-                                vals.append(v)
-                            rows.append(Chain3Row(a1, l1, a2, l2, a, l,
-                                                  tuple(vals)))
-    rows.sort(key=lambda r: (r.l1.twice, r.a1, r.l2.twice, r.a2,
-                             r.l.twice, r.a))
-    return rows
+def chain3_transform(block):
+    """Chain (III) reduced coupling coefficients for the coupling in block."""
+    return transform(
+        block, chain3_brackets, _split,
+        lambda a, b, c, values: Chain3Row(a[1], a[2], b[1], b[2], c[1], c[2], values),
+        lambda r: (r.l1.twice, r.a1, r.l2.twice, r.a2, r.l.twice, r.a))

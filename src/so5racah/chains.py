@@ -1,0 +1,349 @@
+"""One engine for the subalgebra chains: weight basis, sparse generator
+matrices, transformation brackets by laddering, their verification,
+and the transformation of canonical-chain coefficients.
+
+A chain is described by two things.  Its level function maps a weight
+basis state (lam, M_X, M_Y) to (sector, m): the sector is a label the
+subalgebra leaves fixed (M_S in the isospin chain, a single 0 in the
+angular-momentum chain) and m is the weight of its SO(3).  Its lowering
+operator, a sparse matrix over the weight basis, maps level
+(sector, m) into (sector, m - 1).  Brackets, the Casimir used to check
+them, and the coefficient transformation follow from these alone.
+
+Sparse matrices are column-major: mat[j] is a dict {i: value} so that
+(M v)[i] = sum_j mat[j][i] * v[j].
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+from .errors import DegenerateForm, InternalInconsistency, LadderNullUnexpected
+from .exact import RS_ONE, RS_ZERO, root_of_rational, rs
+from .halfint import HalfInt, mrange, triangle
+from .so4 import HALFHALF, so4_cg
+from .so5 import generator_rme, so5_branch_so4
+from .su2 import su2_cg
+
+
+class BracketSet:
+    """Chain basis vectors expanded over canonical basis states.
+
+    entries maps a chain label tuple to a tuple of
+    ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs.  Chain (II) labels are
+    (M_S, kappa, T, M_T); chain (III) labels are (alpha, L, M_L).
+    """
+
+    __slots__ = ("irrep", "chain", "entries")
+
+    def __init__(self, irrep, chain, entries):
+        self.irrep = irrep
+        self.chain = chain
+        self.entries = entries
+
+    def labels(self):
+        return list(self.entries)
+
+    def vector(self, key):
+        return self.entries[key]
+
+
+def weight_basis(g):
+    """Weight basis (lam, M_X, M_Y) ordered by (label, M_X, M_Y)."""
+    out = []
+    for lam in so5_branch_so4(g):
+        for mx in mrange(lam.X):
+            for my in mrange(lam.Y):
+                out.append((lam, mx, my))
+    return out
+
+
+# -- sparse matrices -------------------------------------------------------
+
+def op_apply(mat, vec):
+    out = {}
+    for j, c in vec.items():
+        col = mat.get(j)
+        if not col:
+            continue
+        for i, a in col.items():
+            v = out.get(i, RS_ZERO) + a * c
+            if v.is_zero():
+                out.pop(i, None)
+            else:
+                out[i] = v
+    return out
+
+
+def op_compose(a, b):
+    out = {}
+    for j, col in b.items():
+        new = op_apply(a, col)
+        if new:
+            out[j] = new
+    return out
+
+
+def op_add(*mats):
+    out = {}
+    for m in mats:
+        for j, col in m.items():
+            dst = out.setdefault(j, {})
+            for i, v in col.items():
+                s = dst.get(i, RS_ZERO) + v
+                if s.is_zero():
+                    dst.pop(i, None)
+                else:
+                    dst[i] = s
+            if not dst:
+                del out[j]
+    return out
+
+
+def op_scale(c, mat):
+    return {j: {i: rs(v * c) for i, v in col.items()} for j, col in mat.items()}
+
+
+def op_transpose(mat):
+    out = {}
+    for j, col in mat.items():
+        for i, v in col.items():
+            out.setdefault(i, {})[j] = v
+    return out
+
+
+def op_is_zero(mat):
+    return all(v.is_zero() for col in mat.values() for v in col.values())
+
+
+def primitive(g, basis, name):
+    """One primitive SO(5) generator component over basis: "X+", "X-",
+    "Y+", "Y-" (SU(2) ladders), "X0", "Y0" (weight diagonals), or the
+    bitensor component T_{mu nu} named "T" plus the signs of mu, nu."""
+    index = {s: k for k, s in enumerate(basis)}
+    kind, signs = name[0], name[1:]
+    mat = {}
+    for j, (lam, mx, my) in enumerate(basis):
+        if signs == "0":
+            v = (mx if kind == "X" else my).as_fraction()
+            if v:
+                mat[j] = {j: rs(v)}
+        elif kind in "XY":
+            d = 1 if signs == "+" else -1
+            jj, m = (lam.X, mx) if kind == "X" else (lam.Y, my)
+            p = ((jj.twice - d * m.twice) // 2) * ((jj.twice + d * m.twice) // 2 + 1)
+            if p > 0:
+                tgt = (lam, mx + d, my) if kind == "X" else (lam, mx, my + d)
+                mat[j] = {index[tgt]: rs(root_of_rational(1, Fraction(p)))}
+        else:
+            step = tuple(HalfInt(1 if c == "+" else -1) for c in signs)
+            w = (mx + step[0], my + step[1])
+            col = {}
+            for lamp in so5_branch_so4(g):
+                i = index.get((lamp,) + w)
+                if i is None:
+                    continue
+                el = so4_cg(lam, (mx, my), HALFHALF, step, lamp, w) \
+                    * generator_rme(g, lamp, lam)
+                if not el.is_zero():
+                    col[i] = rs(el)
+            if col:
+                mat[j] = col
+    return mat
+
+
+def casimir(basis, level, lower):
+    """The subalgebra Casimir M0^2 + (L+ L- + L- L+)/2 over basis, with
+    M0 the diagonal of level weights m and L+ the transpose of L-."""
+    raising = op_transpose(lower)
+    m0sq = {}
+    for j, state in enumerate(basis):
+        m = level(state)[1]
+        if m:
+            m0sq[j] = {j: rs(m.as_fraction() ** 2)}
+    half = Fraction(1, 2)
+    return op_add(m0sq, op_scale(half, op_compose(raising, lower)),
+                  op_scale(half, op_compose(lower, raising)))
+
+
+# -- transformation brackets -----------------------------------------------
+
+def ladder(basis, level, lower):
+    """Chain basis vectors by inward laddering with Gram-Schmidt completion.
+
+    Each sector is walked from its top level down.  Vectors lowered from
+    the level above are normalized by sqrt((j+m+1)(j-m)); at every level
+    with m >= 0 they are completed to a basis of the level by
+    Gram-Schmidt against the level's states in basis order, each
+    completion starting a new multiplet j = m.  The number of new
+    multiplets is the growth of the level size from m+1 to m.
+
+    Returns {(sector, k, j, m): terms} in creation order, sectors
+    descending, k numbering the multiplets of equal (sector, j), terms
+    the ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs in basis order.
+    """
+    levels = {}
+    for i, state in enumerate(basis):
+        levels.setdefault(level(state), []).append(i)
+    entries = {}
+    for sector in sorted({sec for sec, _ in levels}, reverse=True):
+        top = max(m for sec, m in levels if sec == sector)
+        live = []  # (j, k, vec) with vec a dict basis index -> RadicalSum
+        for tm in range(top.twice, -top.twice - 1, -2):
+            m = HalfInt(tm)
+            members = levels.get((sector, m), [])
+            stepped = []
+            for j, k, vec in live:
+                if m < -j:
+                    continue
+                new = op_apply(lower, vec)
+                if not new:
+                    raise LadderNullUnexpected(
+                        "lowering annihilated (j=%s k=%d) at m=%s, sector %s"
+                        % (j, k, m, sector))
+                scale = root_of_rational(
+                    1, Fraction((j.twice + tm + 2) * (j.twice - tm), 4))
+                stepped.append((j, k, {i: v / scale for i, v in new.items()}))
+            live = stepped
+            if tm >= 0:
+                mu = len(members) - len(levels.get((sector, m + 1), ()))
+                added = 0
+                for cand in members:
+                    if added == mu:
+                        break
+                    resid = {cand: RS_ONE}
+                    for _, _, vec in live:
+                        c = vec.get(cand)
+                        if c is None:
+                            continue
+                        for i, v in vec.items():
+                            r = resid.get(i, RS_ZERO) - c * v
+                            if r.is_zero():
+                                resid.pop(i, None)
+                            else:
+                                resid[i] = r
+                    if not resid:
+                        continue
+                    norm2 = RS_ZERO
+                    for v in resid.values():
+                        norm2 = norm2 + v * v
+                    if not norm2.is_rational() or norm2.rational() <= 0:
+                        raise DegenerateForm(
+                            "residual norm %s at m=%s, sector %s" % (norm2, m, sector))
+                    scale = root_of_rational(1, norm2.rational())
+                    added += 1
+                    live.append((m, added, {i: v / scale for i, v in resid.items()}))
+                if added < mu:
+                    raise InternalInconsistency(
+                        "could not seat %d new j=%s multiplets, sector %s"
+                        % (mu, m, sector))
+            if len(live) != len(members):
+                raise InternalInconsistency(
+                    "level (%s, %s): %d vectors for %d states"
+                    % (sector, m, len(live), len(members)))
+            for j, k, vec in live:
+                entries[(sector, k, j, m)] = tuple(
+                    ((basis[i][0], (basis[i][1], basis[i][2])), v)
+                    for i, v in sorted(vec.items()))
+    return entries
+
+
+def verify_brackets(bs, basis, level, lower, split):
+    """Unitarity per level and the Casimir eigen-relation for the
+    brackets bs over basis; split(key) gives a key's (sector, k, j, m).
+    Returns a list of problems, empty when clean."""
+    index = {s: i for i, s in enumerate(basis)}
+    c2 = casimir(basis, level, lower)
+    counts = Counter(level(s) for s in basis)
+    by_level = {lev: [] for lev in counts}
+    problems = []
+    for key, terms in bs.entries.items():
+        sector, _, j, m = split(key)
+        vec = {index[(lam, w[0], w[1])]: v for (lam, w), v in terms}
+        by_level.setdefault((sector, m), []).append((key, vec))
+        ev = j.as_fraction() * (j.as_fraction() + 1)
+        lhs = op_apply(c2, vec)
+        if set(lhs) - set(vec) or any(lhs.get(i, RS_ZERO) != v * ev
+                                      for i, v in vec.items()):
+            problems.append("Casimir eigen-relation fails for %s" % (key,))
+    for lev, group in by_level.items():
+        if len(group) != counts.get(lev, 0):
+            problems.append("level %s: %d vectors, %d states"
+                            % (lev, len(group), counts.get(lev, 0)))
+        for a, (ka, va) in enumerate(group):
+            for kb, vb in group[a:]:
+                dot = RS_ZERO
+                for i, c in va.items():
+                    d = vb.get(i)
+                    if d is not None:
+                        dot = dot + c * d
+                if dot != (RS_ONE if ka == kb else RS_ZERO):
+                    problems.append("brackets %s . %s = %s" % (ka, kb, dot))
+    return problems
+
+
+# -- coefficient transformation --------------------------------------------
+
+def _value(block, rho, vecs, labs, m):
+    """One chain coefficient, summed at weight m of the product label:
+    SU(2) CG x three brackets x canonical coefficient x SO(4) CG."""
+    (s1, k1, j1), (s2, k2, j2), (s, k, j) = labs
+    v1, v2, v = vecs
+    total = RS_ZERO
+    terms = v[(s, k, j, m)]
+    for m1 in mrange(j1):
+        m2 = m - m1
+        if abs(m2) > j2:
+            continue
+        cg = su2_cg(j1, m1, j2, m2, j, m)
+        if cg.is_zero():
+            continue
+        terms1 = v1[(s1, k1, j1, m1)]
+        terms2 = v2[(s2, k2, j2, m2)]
+        for (lam, w), c in terms:
+            for (lam1, w1), c1 in terms1:
+                want = (w[0] - w1[0], w[1] - w1[1])
+                for (lam2, w2), c2 in terms2:
+                    if w2 != want:
+                        continue
+                    cc = block.value(lam1, lam2, lam, rho)
+                    if cc.is_zero():
+                        continue
+                    cg4 = so4_cg(lam1, w1, lam2, w2, lam, w)
+                    if cg4.is_zero():
+                        continue
+                    total = total + (c1 * c2) * (c * cc) * (cg * cg4)
+    return total
+
+
+def transform(block, brackets, split, row, order):
+    """Reduced coupling coefficients of block in a chain basis.
+
+    brackets(g) gives the BracketSet of an irrep and split(key) the
+    (sector, k, j, m) of one of its keys.  Each label triple
+    (sector, k, j) of g1, g2 and g whose sectors add and whose j
+    satisfy the triangle rule gives row(lab1, lab2, lab, values), with
+    one value per outer multiplicity, evaluated at m = j and checked to
+    be identical at m = j - 1.  Rows are returned sorted by order.
+    """
+    vecs = []
+    for g in (block.g1, block.g2, block.g):
+        vecs.append({split(key): terms for key, terms in brackets(g).entries.items()})
+    labs = [[(s, k, j) for s, k, j, m in v if m == j] for v in vecs]
+    rows = []
+    for lab1 in labs[0]:
+        for lab2 in labs[1]:
+            for lab in labs[2]:
+                j = lab[2]
+                if lab[0] != lab1[0] + lab2[0] or not triangle(lab1[2], lab2[2], j):
+                    continue
+                values = []
+                for rho in range(1, block.D + 1):
+                    v = _value(block, rho, vecs, (lab1, lab2, lab), j)
+                    if j.twice >= 1 and v != _value(block, rho, vecs,
+                                                    (lab1, lab2, lab), j - 1):
+                        raise InternalInconsistency(
+                            "m dependence at %s" % ((lab1, lab2, lab, rho),))
+                    values.append(v)
+                rows.append(row(lab1, lab2, lab, tuple(values)))
+    rows.sort(key=order)
+    return rows

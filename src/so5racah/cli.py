@@ -274,23 +274,26 @@ def tabulate(max_r, chain, jobs, store_path):
                % (len(work), skipped, store_path))
 
 
+_TABLE_CHAINS = {
+    "chain2-table": ("isospin", chain2_brackets, verify_chain2_brackets),
+    "chain3-table": ("angmom", chain3_brackets, verify_chain3_brackets),
+}
+
+
 def _verify_payload(payload):
     kind = payload.get("kind")
     if kind == "block":
         return verify_block(block_from_record(payload))
+    if kind not in _TABLE_CHAINS:
+        return ["unknown record kind %r" % kind]
+    chain, brackets, check = _TABLE_CHAINS[kind]
+    irreps = [So5Irrep.parse(payload[slot]) for slot in ("g1", "g2", "g")]
     problems = []
-    seen = set()
-    for slot in ("g1", "g2", "g"):
-        g = So5Irrep.parse(payload[slot])
-        if g in seen:
-            continue
-        seen.add(g)
-        if kind == "chain2-table":
-            problems += verify_chain2_brackets(g, chain2_brackets(g))
-        elif kind == "chain3-table":
-            problems += verify_chain3_brackets(g, chain3_brackets(g))
-        else:
-            return ["unknown record kind %r" % kind]
+    for g in dict.fromkeys(irreps):
+        problems += check(g, brackets(g))
+    if _compute_payload(chain, *irreps) != payload:
+        problems.append("table differs from the one recomputed from the "
+                        "canonical block")
     return problems
 
 
@@ -300,7 +303,8 @@ def _verify_payload(payload):
 def verify(store_path):
     """Re-check every stored record: content hashes, then the exactness
     reports (row annihilation, orthonormality, bracket unitarity,
-    eigen-relations).  One line per record; exit 1 if anything fails."""
+    eigen-relations); chain tables are also recomputed and compared.
+    One line per record; exit 1 if anything fails."""
     st = Store(store_path)
     keys = st.keys()
     bad = 0

@@ -37,9 +37,5 @@ class LadderNullUnexpected(So5Error):
     """A ladder operator annihilated a state it should not have."""
 
 
-class EmptySubspace(So5Error):
-    """No basis state exists at the requested weight point."""
-
-
 class StoreError(So5Error):
     """Coefficient store I/O or integrity failure."""

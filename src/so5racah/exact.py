@@ -25,7 +25,7 @@ sums join such terms with explicit signs.  ``parse_value`` inverts
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 
 
 def _square_split(n):
@@ -117,9 +117,6 @@ class Radical:
         if self.coeff == 0:
             return RadicalSum({})
         return RadicalSum({self.rad: self.coeff})
-
-    def approx(self):
-        return float(self.coeff) * sqrt(self.rad)
 
     def __str__(self):
         return _render_term(self.coeff, self.rad)
@@ -324,9 +321,6 @@ class RadicalSum:
         return hash(self._key())
 
     # -- numeric views
-
-    def approx(self):
-        return sum(float(c) * sqrt(r) for r, c in self.terms.items())
 
     def decimal(self, digits):
         """Decimal evaluation to the requested significant digits.

@@ -156,63 +156,38 @@ def _block_cells(rec, digits=None, split=False):
     return head, rows
 
 
-def _chain2_cells(rec, digits=None):
-    with_k = any(d["k1"] > 1 or d["k2"] > 1 or d["k"] > 1 for d in rec["rows"])
-    head = ["MS1", "MS2", "MS", "T1", "T2", "T"]
-    if with_k:
-        head += ["K1", "K2", "K"]
-    head += ["rho=%d" % (i + 1) for i in range(_nrho(rec))]
+# table columns per record kind, in display order: (header, field,
+# whether the field is a multiplicity index); multiplicity columns are
+# shown only when some multiplicity exceeds 1
+_TABLE_COLUMNS = {
+    "chain2-table": [("MS1", "ms1", False), ("MS2", "ms2", False),
+                     ("MS", "ms", False), ("T1", "t1", False),
+                     ("T2", "t2", False), ("T", "t", False),
+                     ("K1", "k1", True), ("K2", "k2", True), ("K", "k", True)],
+    "chain3-table": [("A1", "a1", True), ("L1", "l1", False),
+                     ("A2", "a2", True), ("L2", "l2", False),
+                     ("A", "a", True), ("L", "l", False)],
+}
+
+
+def _table_cells(rec, columns, digits=None):
+    with_mult = any(d[f] > 1 for d in rec["rows"] for _, f, mult in columns if mult)
+    shown = [(h, f) for h, f, mult in columns if with_mult or not mult]
+    head = [h for h, _ in shown] + ["rho=%d" % (i + 1) for i in range(_nrho(rec))]
     rows = []
     for d in rec["rows"]:
-        cells = [d["ms1"], d["ms2"], d["ms"], d["t1"], d["t2"], d["t"]]
-        if with_k:
-            cells += [str(d["k1"]), str(d["k2"]), str(d["k"])]
         vals = list(d["values"])
         if digits is not None:
             vals = [_dvalue(v, digits) for v in vals]
-        rows.append(cells + vals)
-    return head, rows
-
-
-def _chain3_cells(rec, digits=None):
-    with_a = any(d["a1"] > 1 or d["a2"] > 1 or d["a"] > 1 for d in rec["rows"])
-    head = []
-    if with_a:
-        head += ["A1"]
-    head += ["L1"]
-    if with_a:
-        head += ["A2"]
-    head += ["L2"]
-    if with_a:
-        head += ["A"]
-    head += ["L"]
-    head += ["rho=%d" % (i + 1) for i in range(_nrho(rec))]
-    rows = []
-    for d in rec["rows"]:
-        cells = []
-        if with_a:
-            cells += [str(d["a1"])]
-        cells += [d["l1"]]
-        if with_a:
-            cells += [str(d["a2"])]
-        cells += [d["l2"]]
-        if with_a:
-            cells += [str(d["a"])]
-        cells += [d["l"]]
-        vals = list(d["values"])
-        if digits is not None:
-            vals = [_dvalue(v, digits) for v in vals]
-        rows.append(cells + vals)
+        rows.append([str(d[f]) for _, f in shown] + vals)
     return head, rows
 
 
 def _cells(rec, digits=None, split=False):
     if rec["kind"] == "block":
         return _block_cells(rec, digits, split)
-    if rec["kind"] == "chain2-table":
-        return _chain2_cells(rec, digits)
-    if rec["kind"] == "chain3-table":
-        return _chain3_cells(rec, digits)
+    if rec["kind"] in _TABLE_COLUMNS:
+        return _table_cells(rec, _TABLE_COLUMNS[rec["kind"]], digits)
     raise ValueError("unknown record kind %r" % rec.get("kind"))
 
 

@@ -129,11 +129,6 @@ class HalfInt:
         return "HalfInt(%s)" % self
 
 
-ZERO = HalfInt(0)
-HALF = HalfInt(1)
-ONE = HalfInt(2)
-
-
 def hi(x):
     """Shorthand coercion to HalfInt."""
     return HalfInt.make(x)

@@ -1,27 +1,20 @@
-"""Chain (II) U_N(1) x SO_T(3): branching, transformation brackets, and
-reduced-coefficient transformation.
+"""Chain (II) U_N(1) x SO_T(3): branching, and what the chain engine
+needs to build its brackets and tables.
 
 A chain (II) basis state lives at a single weight point (M_X, M_Y) of
 the SO(5) irrep, relabeled by M_S = M_X + M_Y and M_T = M_X - M_Y.
-Brackets are built one M_S diagonal at a time: the unique state at
-M_T = T_max seeds with a + sign, T_- laddering walks down the diagonal,
-and each new isospin multiplet is resolved by Gram-Schmidt against
-canonical basis states in increasing label order.
+M_S is the sector; T_- = 2 T_{-+} lowers M_T along one M_S diagonal.
+The laddering, the T.T check and the coefficient transformation are
+the ones of `chains`.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import (DegenerateForm, EmptySubspace, InternalInconsistency,
-                     LadderNullUnexpected)
-from .exact import RAD_ZERO, RS_ONE, RS_ZERO, root_of_rational
-from .halfint import HalfInt, hi, triangle
-from .so4 import HALFHALF, So4Irrep, so4_cg, so4_usixj
-from .so5 import generator_rme, so5_branch_so4
-from .su2 import su2_cg
-
-ONEONE = So4Irrep(1, 1)
+from .chains import BracketSet, ladder, op_scale, primitive, transform, \
+    verify_brackets, weight_basis
+from .halfint import HalfInt, hi
 
 
 # -- branching -------------------------------------------------------------
@@ -74,314 +67,49 @@ def chain2_branch(g):
     return out
 
 
-def _labels_at(g, mx, my):
-    """Branch labels whose weight lattice contains (mx, my), canonical order."""
-    out = []
-    for lam in so5_branch_so4(g):
-        if (abs(mx.twice) <= lam.X.twice and (mx.twice - lam.X.twice) % 2 == 0
-                and abs(my.twice) <= lam.Y.twice and (my.twice - lam.Y.twice) % 2 == 0):
-            out.append(lam)
-    return out
+# -- brackets and tables ---------------------------------------------------
+
+def chain2_level(state):
+    """(M_S, M_T) of a weight basis state."""
+    _, mx, my = state
+    return mx + my, mx - my
 
 
-# -- generator matrix elements at fixed weight -----------------------------
-
-def _t_elem(g, lamp, wp, lam, w, tmu, tnu):
-    """<lamp wp | T^{(1/2,1/2)}_{mu nu} | lam w> by the Wigner-Eckart
-    factorization (tmu, tnu are the doubled spherical components)."""
-    cg = so4_cg(lam, w, HALFHALF, (HalfInt(tmu), HalfInt(tnu)), lamp, wp)
-    if cg.is_zero():
-        return RAD_ZERO
-    return cg * generator_rme(g, lamp, lam)
+def chain2_lowering(g, basis):
+    """T_- = 2 T_{-+} over the weight basis of g."""
+    return op_scale(2, primitive(g, basis, "T-+"))
 
 
-def t2_matrix(g, w):
-    """Matrix of the total-isospin Casimir T.T over the (XY) labels at
-    weight w, as nested lists of RadicalSum (symmetric, exact).
-
-    T.T = (X_0-Y_0)^2 + 2(TxT)^{(11)}_{00} - 2(TxT)^{(00)}_{00}, with the
-    bitensor products reduced through the SO(4) recoupling symbol.
-    """
-    mx, my = hi(w[0]), hi(w[1])
-    labels = _labels_at(g, mx, my)
-    if not labels:
-        raise EmptySubspace("no SO(4) label of %s contains weight (%s,%s)"
-                            % (g, mx, my))
-    branch = so5_branch_so4(g)
-    mt2 = (mx - my).as_fraction() ** 2
-    rows = []
-    for lamp in labels:
-        row = []
-        for lam in labels:
-            val = RS_ZERO
-            cg = so4_cg(lam, (mx, my), ONEONE, (HalfInt(0), HalfInt(0)),
-                        lamp, (mx, my))
-            if not cg.is_zero():
-                acc = RS_ZERO
-                for lamdp in branch:
-                    r1 = generator_rme(g, lamp, lamdp)
-                    if r1.is_zero():
-                        continue
-                    r2 = generator_rme(g, lamdp, lam)
-                    if r2.is_zero():
-                        continue
-                    u = so4_usixj(HALFHALF, HALFHALF, ONEONE, lam, lamp, lamdp)
-                    if u.is_zero():
-                        continue
-                    acc = acc + u * r1 * r2
-                val = val + (cg * 2) * acc
-            if lam == lamp:
-                diag = mt2
-                for lamdp in branch:
-                    r = generator_rme(g, lam, lamdp)
-                    if not r.is_zero():
-                        diag += abs(r.square())
-                val = val + diag
-            row.append(val)
-        rows.append(row)
-    return rows
-
-
-# -- transformation brackets -----------------------------------------------
-
-class BracketSet:
-    """Chain basis vectors expanded over canonical basis states.
-
-    entries maps a chain label tuple to a tuple of
-    ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs.  Chain (II) labels are
-    (M_S, kappa, T, M_T); chain (III) labels are (alpha, L, M_L).
-    """
-
-    __slots__ = ("irrep", "chain", "entries")
-
-    def __init__(self, irrep, chain, entries):
-        self.irrep = irrep
-        self.chain = chain
-        self.entries = entries
-
-    def labels(self):
-        return list(self.entries)
-
-    def vector(self, key):
-        return self.entries[key]
+def _split(key):
+    return key
 
 
 def chain2_brackets(g):
-    """All chain (II) transformation brackets of g, by inward laddering
-    with Gram-Schmidt completion at each weight point."""
-    entries = {}
-    trs = g.R.twice + g.S.twice
-    for tms in range(trs, -trs - 1, -2):
-        ms = HalfInt(tms)
-        tmax = chain2_tmax(g, ms)
-        live = []  # [T, kappa, dict lam -> RadicalSum] at the current level
-        for tmt in range(tmax.twice, -tmax.twice - 1, -2):
-            mt = HalfInt(tmt)
-            mx = HalfInt((tms + tmt) // 2)
-            my = HalfInt((tms - tmt) // 2)
-            labels = _labels_at(g, mx, my)
-            if tmt == tmax.twice:
-                if len(labels) != 1:
-                    raise InternalInconsistency(
-                        "top of diagonal M_S=%s of %s is not one-dimensional"
-                        % (ms, g))
-                live = [[tmax, 1, {labels[0]: RS_ONE}]]
-            else:
-                pmx = HalfInt((tms + tmt + 2) // 2)
-                pmy = HalfInt((tms - tmt - 2) // 2)
-                stepped = []
-                for t, kappa, vec in live:
-                    if mt < -t:
-                        continue
-                    new = {}
-                    for lamp in labels:
-                        acc = RS_ZERO
-                        for lam, c in vec.items():
-                            el = _t_elem(g, lamp, (mx, my), lam, (pmx, pmy), -1, 1)
-                            if not el.is_zero():
-                                acc = acc + c * el
-                        if not acc.is_zero():
-                            new[lamp] = acc
-                    if not new:
-                        raise LadderNullUnexpected(
-                            "T_- annihilated (M_S=%s T=%s kappa=%d) at M_T=%s"
-                            % (ms, t, kappa, mt))
-                    # b(M_T) = 2/sqrt((T+M_T+1)(T-M_T)) * (T_-+ action)
-                    p = (((t.twice + mt.twice) // 2 + 1)
-                         * ((t.twice - mt.twice) // 2))
-                    scale = root_of_rational(1, Fraction(p))
-                    new = {lam: (c * 2) / scale for lam, c in new.items()}
-                    stepped.append([t, kappa, new])
-                live = stepped
-                if tmt >= 0:
-                    mu = chain2_mult(g, ms, mt)
-                    added = 0
-                    for cand in labels:
-                        if added == mu:
-                            break
-                        resid = {cand: RS_ONE}
-                        for _, _, vec in live:
-                            c = vec.get(cand)
-                            if c is None or c.is_zero():
-                                continue
-                            for lam, v in vec.items():
-                                r = resid.get(lam, RS_ZERO) - c * v
-                                if r.is_zero():
-                                    resid.pop(lam, None)
-                                else:
-                                    resid[lam] = r
-                        if not resid:
-                            continue
-                        norm2 = RS_ZERO
-                        for v in resid.values():
-                            norm2 = norm2 + v * v
-                        if not norm2.is_rational():
-                            raise DegenerateForm(
-                                "irrational residual norm at M_S=%s M_T=%s of %s"
-                                % (ms, mt, g))
-                        q = norm2.rational()
-                        if q <= 0:
-                            raise DegenerateForm(
-                                "nonpositive residual norm at M_S=%s M_T=%s" % (ms, mt))
-                        scale = root_of_rational(1, q)
-                        vec = {lam: v / scale for lam, v in resid.items()}
-                        added += 1
-                        live.append([mt, added, vec])
-                    if added < mu:
-                        raise InternalInconsistency(
-                            "could not seat %d new T=%s multiplets at M_S=%s"
-                            % (mu, mt, ms))
-            if len(live) != len(labels):
-                raise InternalInconsistency(
-                    "level (M_S=%s, M_T=%s) of %s: %d vectors for %d states"
-                    % (ms, mt, g, len(live), len(labels)))
-            for t, kappa, vec in live:
-                entries[(ms, kappa, t, mt)] = tuple(
-                    ((lam, (mx, my)), vec[lam]) for lam in labels if lam in vec)
-    return BracketSet(g, "isospin", entries)
+    """All chain (II) transformation brackets of g, keyed
+    (M_S, kappa, T, M_T)."""
+    basis = weight_basis(g)
+    return BracketSet(g, "isospin",
+                      ladder(basis, chain2_level, chain2_lowering(g, basis)))
 
 
 def verify_chain2_brackets(g, bs):
     """Unitarity and T.T eigen-relation report; empty list means clean."""
-    problems = []
-    by_level = {}
-    for key, pairs in bs.entries.items():
-        ms, kappa, t, mt = key
-        by_level.setdefault((ms, mt), []).append((key, dict(
-            (lam, val) for (lam, _), val in pairs)))
-    for (ms, mt), group in sorted(by_level.items(),
-                                  key=lambda kv: (kv[0][0].twice, kv[0][1].twice)):
-        mx = HalfInt((ms.twice + mt.twice) // 2)
-        my = HalfInt((ms.twice - mt.twice) // 2)
-        labels = _labels_at(g, mx, my)
-        if len(group) != len(labels):
-            problems.append("level (%s,%s): %d vectors, %d states"
-                            % (ms, mt, len(group), len(labels)))
-        for i, (ka, va) in enumerate(group):
-            for kb, vb in group[i:]:
-                dot = RS_ZERO
-                for lam, c in va.items():
-                    d = vb.get(lam)
-                    if d is not None:
-                        dot = dot + c * d
-                want = RS_ONE if ka == kb else RS_ZERO
-                if dot != want:
-                    problems.append("brackets %s . %s = %s" % (ka, kb, dot))
-        t2 = t2_matrix(g, (mx, my))
-        for key, vec in group:
-            tt = key[2]
-            ev = Fraction(tt.twice * (tt.twice + 2), 4)
-            for i, lamp in enumerate(labels):
-                acc = RS_ZERO
-                for j, lam in enumerate(labels):
-                    c = vec.get(lam)
-                    if c is not None:
-                        acc = acc + t2[i][j] * c
-                c = vec.get(lamp)
-                if c is not None:
-                    acc = acc - c * ev
-                if not acc.is_zero():
-                    problems.append("T.T eigen-relation fails for %s at %s"
-                                    % (key, lamp))
-                    break
-    return problems
+    basis = weight_basis(g)
+    return verify_brackets(bs, basis, chain2_level,
+                           chain2_lowering(g, basis), _split)
 
-
-# -- coefficient transformation --------------------------------------------
 
 Chain2Row = namedtuple("Chain2Row", "ms1 k1 t1 ms2 k2 t2 ms k t values")
 
 
-def _transform_value(block, br1, br2, br, ms1, k1, t1, ms2, k2, t2,
-                     ms, k, t, rho, mt):
-    total = RS_ZERO
-    vec = br.entries[(ms, k, t, mt)]
-    for tmt1 in range(-t1.twice, t1.twice + 1, 2):
-        mt1 = HalfInt(tmt1)
-        mt2 = mt - mt1
-        if abs(mt2) > t2:
-            continue
-        cgt = su2_cg(t1, mt1, t2, mt2, t, mt)
-        if cgt.is_zero():
-            continue
-        v1 = br1.entries[(ms1, k1, t1, mt1)]
-        v2 = br2.entries[(ms2, k2, t2, mt2)]
-        for (lam1, w1), c1 in v1:
-            for (lam2, w2), c2 in v2:
-                for (lam, w), c in vec:
-                    cc = block.value(lam1, lam2, lam, rho)
-                    if cc.is_zero():
-                        continue
-                    cg4 = so4_cg(lam1, w1, lam2, w2, lam, w)
-                    if cg4.is_zero():
-                        continue
-                    total = total + (c1 * c2) * (c * cc) * (cgt * cg4)
-    return total
-
-
-def chain2_transform(block, br1=None, br2=None, br=None, verify=True):
+def chain2_transform(block):
     """Chain (II) reduced coupling coefficients for the coupling in block.
 
     Returns Chain2Row tuples ordered M_S1, M_S2 descending then isospins
-    ascending; values holds one entry per outer multiplicity rho.  Each
-    value is evaluated at M_T = T and, when verify is set, checked to be
-    identical at a second M_T.
+    ascending; values holds one entry per outer multiplicity rho.
     """
-    if br1 is None:
-        br1 = chain2_brackets(block.g1)
-    if br2 is None:
-        br2 = chain2_brackets(block.g2)
-    if br is None:
-        br = chain2_brackets(block.g)
-    bmap = {}
-    for msv, tv, muv in chain2_branch(block.g):
-        bmap.setdefault(msv, []).append((tv, muv))
-    rows = []
-    for ms1, t1, mu1 in chain2_branch(block.g1):
-        for ms2, t2, mu2 in chain2_branch(block.g2):
-            ms = ms1 + ms2
-            for t, mu in bmap.get(ms, []):
-                if not triangle(t1, t2, t):
-                    continue
-                for k1 in range(1, mu1 + 1):
-                    for k2 in range(1, mu2 + 1):
-                        for k in range(1, mu + 1):
-                            vals = []
-                            for rho in range(1, block.D + 1):
-                                v = _transform_value(
-                                    block, br1, br2, br, ms1, k1, t1,
-                                    ms2, k2, t2, ms, k, t, rho, t)
-                                if verify and t.twice >= 1:
-                                    v2 = _transform_value(
-                                        block, br1, br2, br, ms1, k1, t1,
-                                        ms2, k2, t2, ms, k, t, rho, t - 1)
-                                    if v != v2:
-                                        raise InternalInconsistency(
-                                            "M_T dependence at %s"
-                                            % ((ms1, t1, ms2, t2, ms, t, rho),))
-                                vals.append(v)
-                            rows.append(Chain2Row(ms1, k1, t1, ms2, k2, t2,
-                                                  ms, k, t, tuple(vals)))
-    rows.sort(key=lambda r: (-r.ms1.twice, -r.ms2.twice, r.t1.twice,
-                             r.t2.twice, r.t.twice, r.k1, r.k2, r.k))
-    return rows
+    return transform(
+        block, chain2_brackets, _split,
+        lambda a, b, c, values: Chain2Row(*a, *b, *c, values),
+        lambda r: (-r.ms1.twice, -r.ms2.twice, r.t1.twice, r.t2.twice,
+                   r.t.twice, r.k1, r.k2, r.k))

@@ -180,22 +180,15 @@ class IsoscalarBlock:
         self.columns = columns
         self.vectors = vectors  # vectors[rho-1][i], RadicalSum
         self.meta = meta
+        self._index = {tuple(c): i for i, c in enumerate(columns)}
 
     @property
     def D(self):
         return len(self.vectors)
 
-    def groups(self):
-        """Column indices grouped by the product label, in column order."""
-        out = {}
-        for i, (_, _, lam) in enumerate(self.columns):
-            out.setdefault(lam, []).append(i)
-        return out
-
     def value(self, lam1, lam2, lam, rho=1):
-        try:
-            i = self.columns.index((lam1, lam2, lam))
-        except ValueError:
+        i = self._index.get((lam1, lam2, lam))
+        if i is None:
             return RS_ZERO
         return self.vectors[rho - 1][i]
 

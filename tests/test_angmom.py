@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from so5racah.angmom import Chain3Ops, chain3_basis, chain3_branch, \
-    chain3_brackets, chain3_generator_matrices, chain3_mult, \
-    coupled_commutator, lsquared, op_add, op_is_zero, op_scale, \
-    verify_chain3_brackets, chain3_transform
+from so5racah.angmom import chain3_branch, chain3_brackets, \
+    chain3_generator_matrices, chain3_level, chain3_lowering, chain3_mult, \
+    coupled_commutator, verify_chain3_brackets, chain3_transform
+from so5racah.chains import casimir, op_add, op_is_zero, op_scale, weight_basis
 from so5racah.exact import RS_ZERO, Radical, render_value, rs
 from so5racah.halfint import HalfInt, hi
 from so5racah.racah import solve_isoscalars
@@ -69,8 +69,8 @@ def test_commutator_identities():
 def test_lsquared_trace():
     # trace is basis independent: sum of mult * (2L+1) * L(L+1)
     g = So5Irrep(1, 0)
-    ops = chain3_generator_matrices(g)
-    l2 = lsquared(ops)
+    basis = weight_basis(g)
+    l2 = casimir(basis, chain3_level, chain3_lowering(g, basis))
     tr = RS_ZERO
     for j, colmap in l2.items():
         if j in colmap:
@@ -78,10 +78,20 @@ def test_lsquared_trace():
     assert tr == rs(3 * 2 + 7 * 12)
 
 
+def test_lowering_is_generator_component():
+    # the operator the brackets ladder with is sqrt(2) L^(1)_{-1}, the
+    # component the commutator identities check
+    root2 = rs(Radical(Fraction(1), 2))
+    for g in [So5Irrep(H, H), So5Irrep(1, 0), So5Irrep(1, H)]:
+        ops = chain3_generator_matrices(g)
+        lower = chain3_lowering(g, ops.basis)
+        assert op_is_zero(op_add(lower, op_scale(-root2, ops.L[-1]))), g
+
+
 def test_ml_census_matches_branching():
     for g in [So5Irrep(1, H), So5Irrep(2, 1)]:
         census = Counter()
-        for (lam, mx, my) in chain3_basis(g):
+        for (lam, mx, my) in weight_basis(g):
             census[mx.twice + 3 * my.twice] += 1
         want = Counter()
         for l, mu in chain3_branch(g):

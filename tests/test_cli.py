@@ -175,6 +175,25 @@ def test_verify_catches_tampering(tmp_path):
     assert "FAIL %s" % key in v.output
 
 
+def test_verify_recomputes_chain_table(tmp_path):
+    # a wrong value under an honest hash passes every integrity check;
+    # only recomputing the table catches it
+    store = str(tmp_path / "st")
+    r = run("couple", "--chain", "isospin", "--g1", "(1,0)", "--g2", "(1,1/2)",
+            "--g", "(1,1/2)", "--store", store)
+    assert r.exit_code == 0
+    st = Store(store)
+    key = "isospin|(1,0) x (1,1/2) -> (1,1/2)"
+    payload = st.read_record(key)["payload"]
+    row = next(d for d in payload["rows"] if "sqrt(1/3)" in d["values"])
+    row["values"][row["values"].index("sqrt(1/3)")] = "sqrt(1/2)"
+    st.write_record(key, payload)
+    st.flush_index()
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1
+    assert "FAIL %s" % key in v.output
+
+
 def test_tabulate_jobs_deterministic(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert run("tabulate", "--max-r", "1/2", "--jobs", "1",

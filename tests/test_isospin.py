@@ -1,13 +1,12 @@
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
-from so5racah.errors import EmptySubspace
-from so5racah.exact import render_value, rs
+from so5racah.chains import casimir, weight_basis
+from so5racah.exact import RS_ZERO, render_value, rs
 from so5racah.halfint import HalfInt, hi
-from so5racah.isospin import chain2_branch, chain2_brackets, chain2_mult, \
-    chain2_tmax, chain2_transform, t2_matrix, verify_chain2_brackets
+from so5racah.isospin import chain2_branch, chain2_brackets, chain2_level, \
+    chain2_lowering, chain2_mult, chain2_tmax, chain2_transform, \
+    verify_chain2_brackets
 from so5racah.racah import solve_isoscalars
 from so5racah.so4 import So4Irrep
 from so5racah.so5 import So5Irrep, so5_branch_so4
@@ -67,8 +66,12 @@ def test_branch_dim_conservation():
 
 
 def test_t2_matrix_frozen():
+    # T.T over the two (XY) labels of (1,1/2) at weight (1/2,0)
     g = So5Irrep(1, H)
-    m = t2_matrix(g, (hi(H), hi(0)))
+    basis = weight_basis(g)
+    t2 = casimir(basis, chain2_level, chain2_lowering(g, basis))
+    at = [k for k, (_, mx, my) in enumerate(basis) if (mx, my) == (hi(H), hi(0))]
+    m = [[t2.get(j, {}).get(i, RS_ZERO) for j in at] for i in at]
     assert [[str(x) for x in row] for row in m] == [
         ["sqrt(169/16)", "sqrt(5/4)"],
         ["sqrt(5/4)", "sqrt(25/16)"]]
@@ -78,11 +81,6 @@ def test_t2_matrix_frozen():
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     assert tr == rs(Fraction(9, 2))
     assert det == rs(Fraction(45, 16))
-
-
-def test_t2_matrix_empty_weight():
-    with pytest.raises(EmptySubspace):
-        t2_matrix(So5Irrep(H, 0), (hi(3), hi(0)))
 
 
 def test_brackets_fundamental_spinor():
