@@ -60,16 +60,10 @@ def _parse_halfint(s):
         raise click.UsageError("bad half-integer %r: %s" % (s, e))
 
 
-def _compute_payload(chain, g1, g2, g, st=None):
-    """Build the record payload for one coupling, reusing a stored
-    canonical block when a store is at hand."""
-    block = None
-    if st is not None:
-        bkey = record_key("so4", str(g1), str(g2), str(g))
-        if st.hash_for(bkey) is not None:
-            block = block_from_record(st.read_record(bkey)["payload"])
-    if block is None:
-        block = solve_isoscalars(g1, g2, g)
+def _compute_payload(chain, g1, g2, g):
+    """Build the record payload for one coupling from a freshly solved
+    canonical block."""
+    block = solve_isoscalars(g1, g2, g)
     if chain == "so4":
         return block_record(block)
     if chain == "isospin":
@@ -84,7 +78,7 @@ def _load_or_compute(store_path, chain, g1, g2, g):
     key = record_key(chain, str(g1), str(g2), str(g))
     if st.hash_for(key) is not None:
         return st.read_record(key)["payload"]
-    payload = _compute_payload(chain, g1, g2, g, st)
+    payload = _compute_payload(chain, g1, g2, g)
     st.write_record(key, payload)
     st.flush_index()
     return payload
@@ -282,18 +276,20 @@ _TABLE_CHAINS = {
 
 def _verify_payload(payload):
     kind = payload.get("kind")
-    if kind == "block":
-        return verify_block(block_from_record(payload))
-    if kind not in _TABLE_CHAINS:
+    if kind != "block" and kind not in _TABLE_CHAINS:
         return ["unknown record kind %r" % kind]
-    chain, brackets, check = _TABLE_CHAINS[kind]
     irreps = [So5Irrep.parse(payload[slot]) for slot in ("g1", "g2", "g")]
-    problems = []
-    for g in dict.fromkeys(irreps):
-        problems += check(g, brackets(g))
+    if kind == "block":
+        chain = "so4"
+        problems = verify_block(block_from_record(payload))
+    else:
+        chain, brackets, check = _TABLE_CHAINS[kind]
+        problems = []
+        for g in dict.fromkeys(irreps):
+            problems += check(g, brackets(g))
     if _compute_payload(chain, *irreps) != payload:
-        problems.append("table differs from the one recomputed from the "
-                        "canonical block")
+        problems.append("record differs from the one recomputed from a "
+                        "freshly solved canonical block")
     return problems
 
 
@@ -303,7 +299,7 @@ def _verify_payload(payload):
 def verify(store_path):
     """Re-check every stored record: content hashes, then the exactness
     reports (row annihilation, orthonormality, bracket unitarity,
-    eigen-relations); chain tables are also recomputed and compared.
+    eigen-relations); every record is also recomputed and compared.
     One line per record; exit 1 if anything fails."""
     st = Store(store_path)
     keys = st.keys()

@@ -39,3 +39,7 @@ class LadderNullUnexpected(So5Error):
 
 class StoreError(So5Error):
     """Coefficient store I/O or integrity failure."""
+
+
+class NotFactorable(So5Error):
+    """A matrix is not diag(sqrt a) Q diag(sqrt b) with Q rational."""

@@ -2,8 +2,10 @@
 
 Every scalar in the coupling-coefficient pipeline is a finite sum of
 rationals times square roots of distinct squarefree positive integers.
-That ring is closed under addition, multiplication, and (being a field)
-inversion, so the whole computation runs without floats.
+That ring is closed under addition and multiplication, so the whole
+computation runs without floats.  Division is by a rational or a single
+radical only: the linear algebra eliminates over the rationals (see
+``linalg``), so nothing needs the inverse of a sum.
 
 Two value types:
 
@@ -49,21 +51,6 @@ def _square_split(n):
                 rad *= d
         d += 1 if d == 2 else 2
     return sq, rad * n
-
-
-def _largest_prime_factor(n):
-    """Largest prime factor of a squarefree n > 1."""
-    best = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            best = d
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        best = n
-    return best
 
 
 class Radical:
@@ -203,9 +190,6 @@ class RadicalSum:
             return self.terms[1]
         raise ValueError("%s is not rational" % self)
 
-    def n_terms(self):
-        return len(self.terms)
-
     def _key(self):
         return tuple(sorted(self.terms.items()))
 
@@ -266,50 +250,18 @@ class RadicalSum:
 
     __rmul__ = __mul__
 
-    def invert(self):
-        """Exact 1/x by repeated conjugation over the prime support."""
-        if not self.terms:
-            raise ZeroDivisionError("inverting zero")
-        if self.is_rational():
-            return RadicalSum.from_rational(1 / self.terms[1])
-        p = max(_largest_prime_factor(r) for r in self.terms if r > 1)
-        # split self = x + y*sqrt(p) with x, y free of p
-        x = {}
-        y = {}
-        for r, c in self.terms.items():
-            if r % p == 0:
-                y[r // p] = c
-            else:
-                x[r] = c
-        xs = RadicalSum(x)
-        ys = RadicalSum(y)
-        # conjugate = x - y*sqrt(p); product = x^2 - p*y^2, free of p
-        conj = xs - RadicalSum({r * p: c for r, c in y.items()})
-        norm = xs * xs - (ys * ys) * p
-        if norm.is_zero():
-            # impossible over Q by independence of sqrt(p); defensive
-            raise ZeroDivisionError("degenerate conjugation norm for %s" % self)
-        return conj * norm.invert()
-
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, Radical):
-            other = other.as_sum()
-        if not isinstance(other, RadicalSum):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        if other.is_rational():
-            q = other.rational()
-            if not q:
-                raise ZeroDivisionError
-            return self * (1 / q)
-        if len(other.terms) == 1:
-            # x / (c*sqrt(r)) = x * sqrt(r) / (c*r)
-            (r, c), = other.terms.items()
-            return self * RadicalSum({r: Fraction(1, 1) / (c * r)})
-        return self * other.invert()
+        if len(other.terms) > 1:
+            raise ValueError("division by the sum of radicals %s is not supported"
+                             % other)
+        if not other.terms:
+            raise ZeroDivisionError("division by zero")
+        # x / (c*sqrt(r)) = x * sqrt(r) / (c*r); r = 1 for a rational
+        (r, c), = other.terms.items()
+        return self * RadicalSum({r: 1 / (c * r)})
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -1,15 +1,22 @@
-"""Dense exact linear algebra over the radical field.
+"""Dense exact linear algebra for the Racah system.
 
-Only what the coupling engine needs: reduced row echelon form, null
-spaces, and Gram-Schmidt under a caller-supplied symmetric form.  No
-general eigensolving; the chain transforms only ever need null spaces
-of shifted matrices.
+Only what the coupling engine needs: reduced row echelon form, rank,
+null spaces, and Gram-Schmidt under a caller-supplied symmetric form.
+
+Elimination runs over the rationals.  Each nonzero entry of a Racah
+relation matrix is a single radical (one generator reduced matrix
+element times one recoupling symbol), and the matrix factors as
+M = diag(sqrt a) Q diag(sqrt b) with Q rational and a_i, b_j
+squarefree.  M and Q have the same pivot columns, and row i of
+RREF(M) is row i of RREF(Q) times sqrt(b_f / b_p) at column f, p being
+the pivot column of row i.  A matrix without this form raises
+NotFactorable.
 """
 
 from fractions import Fraction
 
-from .errors import DegenerateForm
-from .exact import RS_ONE, RS_ZERO, RadicalSum, root_of_rational, rs
+from .errors import DegenerateForm, NotFactorable
+from .exact import RS_ONE, RS_ZERO, Radical, RadicalSum, root_of_rational, rs
 
 
 class ExactMatrix:
@@ -35,45 +42,47 @@ class ExactMatrix:
     def ncols(self):
         return self._ncols
 
-    @staticmethod
-    def zeros(nr, nc):
-        return ExactMatrix([[RS_ZERO] * nc for _ in range(nr)], ncols=nc)
-
     def matvec(self, v):
         return [vec_dot(row, v) for row in self.rows]
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list).
 
-        The RREF itself is the canonical one (unique for given column
-        order).  Within a pivot column we eliminate using the candidate
-        row whose entry has the fewest radical terms; that only affects
-        intermediate work, not the result.
+        The RREF is the canonical one (unique for given column order).
+        Gauss-Jordan runs on the sparse rational rows of Q, pivoting on
+        the shortest candidate row (less fill-in, same result).
         """
         if self._rref is not None:
             return self._rref
-        m = [list(row) for row in self.rows]
-        nr = len(m)
-        nc = self.ncols
+        nr, nc = self.nrows, self.ncols
+        m, b = _factor(self.rows, nc)
         pivots = []
-        pr = 0
         for col in range(nc):
-            if pr >= nr:
-                break
-            cands = [i for i in range(pr, nr) if not m[i][col].is_zero()]
+            pr = len(pivots)
+            cands = [i for i in range(pr, nr) if col in m[i]]
             if not cands:
                 continue
-            best = min(cands, key=lambda i: (m[i][col].n_terms(), i))
+            best = min(cands, key=lambda i: len(m[i]))
             m[pr], m[best] = m[best], m[pr]
-            inv = m[pr][col].invert()
-            m[pr] = [x * inv for x in m[pr]]
-            for i in range(nr):
-                if i != pr and not m[i][col].is_zero():
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+            inv = 1 / m[pr].pop(col)
+            prow = {c: v * inv for c, v in m[pr].items()}
+            for row in m:
+                f = row.pop(col, None)
+                if f is not None:
+                    for c, v in prow.items():
+                        x = row.get(c, 0) - f * v
+                        if x:
+                            row[c] = x
+                        else:
+                            del row[c]
+            prow[col] = Fraction(1)
+            m[pr] = prow
             pivots.append(col)
-            pr += 1
-        self._rref = (ExactMatrix(m, ncols=nc), pivots)
+        red = [[RS_ZERO] * nc for _ in range(nr)]
+        for row, p, out in zip(m, pivots, red):
+            for f, x in row.items():
+                out[f] = (Radical(x, b[f]) * Radical(Fraction(1, b[p]), b[p])).as_sum()
+        self._rref = (ExactMatrix(red, ncols=nc), pivots)
         return self._rref
 
     def rank(self):
@@ -104,6 +113,53 @@ class ExactMatrix:
                     v[pc] = -entry
             basis.append(v)
         return basis
+
+
+def _factor(rows, ncols):
+    """Split rows = diag(sqrt a) Q diag(sqrt b); returns (Q, b).
+
+    Q comes as sparse rows {column: Fraction}.  The classes are spread
+    over the row/column graph of the nonzero entries, each connected
+    part rooted at a row with a_i = 1: an entry times sqrt(a_i) is a
+    rational multiple of sqrt(b_j), and times sqrt(b_j) one of sqrt(a_i).
+    Setting b_j checks every entry of column j.  Empty columns get 1.
+    """
+    entries = []  # per row: {column: Radical}
+    by_col = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        ent = {}
+        for j, x in enumerate(row):
+            if len(x.terms) > 1:
+                raise NotFactorable("entry (%d, %d) = %s is a sum" % (i, j, x))
+            for r, c in x.terms.items():
+                ent[j] = Radical(c, r)
+                by_col[j].append(i)
+        entries.append(ent)
+    a = [None] * len(rows)
+    b = [None] * ncols
+    for root in range(len(rows)):
+        if a[root] is not None:
+            continue
+        a[root] = 1
+        todo = [root]
+        while todo:
+            i = todo.pop()
+            for j, x in entries[i].items():
+                if b[j] is not None:
+                    continue
+                b[j] = (x * Radical(1, a[i])).rad
+                for k in by_col[j]:
+                    ak = (entries[k][j] * Radical(1, b[j])).rad
+                    if a[k] is None:
+                        a[k] = ak
+                        todo.append(k)
+                    elif a[k] != ak:
+                        raise NotFactorable("entry (%d, %d): radical class "
+                                            "conflict" % (k, j))
+    # row i of diag(sqrt a) M is diag(a) Q diag(sqrt b)
+    q = [{j: (x * Radical(1, a[i])).coeff / a[i] for j, x in ent.items()}
+         for i, ent in enumerate(entries)]
+    return q, [1 if x is None else x for x in b]
 
 
 def vec_dot(u, v):

@@ -10,10 +10,8 @@ dimension equal to the outer multiplicity D, and normalization + phase
 conventions pin the coefficient vectors.
 """
 
-from fractions import Fraction
-
 from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankDefect
-from .exact import RS_ZERO, RadicalSum, exact_sign, root_of_rational
+from .exact import RS_ONE, RS_ZERO, RadicalSum, exact_sign
 from .linalg import ExactMatrix, gram_schmidt, vec_dot
 from .so4 import HALFHALF, So4Irrep, so4_kronecker, so4_phi, so4_triangle, so4_usixj
 from .so5 import generator_rme, so5_branch_so4, so5_kronecker
@@ -233,49 +231,20 @@ def solve_isoscalars(g1, g2, g, system=None):
     meta["augmented_rows"] = system.n_augmented
     meta["sign_fallback"] = False
 
+    first = None
+    for lam, idxs in groups.items():
+        m = [[sum((basis[a][i] * basis[b][i] for i in idxs), RS_ZERO)
+              for b in range(D)] for a in range(D)]
+        if first is None:
+            first = m
+        elif m != first:
+            raise NormInconsistency("M differs between groups")
+    unit = [[RS_ONE if r == c else RS_ZERO for c in range(D)] for r in range(D)]
+    combos = gram_schmidt(unit, form=ExactMatrix(first))
+    vectors = [[vec_dot(a, col) for col in zip(*basis)] for a in combos]
+    meta["m_matrix"] = first
     if D == 1:
-        v = basis[0]
-        n2 = None
-        for lam, idxs in groups.items():
-            s = RS_ZERO
-            for i in idxs:
-                s = s + v[i] * v[i]
-            if n2 is None:
-                n2 = s
-            elif n2 != s:
-                raise NormInconsistency(
-                    "N^2 differs between groups: %s vs %s" % (n2, s))
-        try:
-            q = n2.rational()
-        except ValueError:
-            raise NormInconsistency("N^2 = %s is not rational" % n2) from None
-        if q <= 0:
-            raise NormInconsistency("N^2 = %s is not positive" % q)
-        inv = RadicalSum.zero() + root_of_rational(1, Fraction(1) / q)
-        vectors = [[x * inv for x in v]]
-        meta["norm2"] = q
-    else:
-        first = None
-        for lam, idxs in groups.items():
-            m = [[sum((basis[a][i] * basis[b][i] for i in idxs), RS_ZERO)
-                  for b in range(D)] for a in range(D)]
-            if first is None:
-                first = m
-            elif m != first:
-                raise NormInconsistency("M differs between groups")
-        mform = ExactMatrix(first)
-        unit = [[RS_ZERO] * r + [RadicalSum.from_rational(1)] + [RS_ZERO] * (D - r - 1)
-                for r in range(D)]
-        combos = gram_schmidt(unit, form=mform)
-        vectors = []
-        for a in combos:
-            w = [RS_ZERO] * len(columns)
-            for r in range(D):
-                if a[r].is_zero():
-                    continue
-                w = [wi + a[r] * vi for wi, vi in zip(w, basis[r])]
-            vectors.append(w)
-        meta["m_matrix"] = first
+        meta["norm2"] = first[0][0].rational()
 
     scan = _sign_positions(g1, g2, columns)
     primary = scan[0]

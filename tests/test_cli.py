@@ -6,6 +6,7 @@ import os
 from click.testing import CliRunner
 
 from so5racah.cli import main
+from so5racah.exact import parse_value, render_value
 from so5racah.store import Store
 
 
@@ -130,7 +131,7 @@ def test_store_cache_and_reuse(tmp_path):
     assert "so4|(1/2,1/2) x (1/2,0) -> (1/2,0)" in st.keys()
     second = run("couple", *args, "--store", store)
     assert second.output == first.output
-    # the chain transform picks up the cached canonical block
+    # the chain transform stores its own record next to the block
     r = run("transform", *args, "--to", "isospin", "--store", store)
     assert r.exit_code == 0
     st = Store(store)
@@ -187,6 +188,25 @@ def test_verify_recomputes_chain_table(tmp_path):
     payload = st.read_record(key)["payload"]
     row = next(d for d in payload["rows"] if "sqrt(1/3)" in d["values"])
     row["values"][row["values"].index("sqrt(1/3)")] = "sqrt(1/2)"
+    st.write_record(key, payload)
+    st.flush_index()
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1
+    assert "FAIL %s" % key in v.output
+
+
+def test_verify_recomputes_block(tmp_path):
+    # a negated vector still annihilates every row and is orthonormal;
+    # only re-solving the block catches its broken phase convention
+    store = str(tmp_path / "st")
+    r = run("couple", "--g1", "(1,0)", "--g2", "(1,1/2)", "--g", "(1,1/2)",
+            "--store", store)
+    assert r.exit_code == 0
+    st = Store(store)
+    key = "so4|(1,0) x (1,1/2) -> (1,1/2)"
+    payload = st.read_record(key)["payload"]
+    payload["vectors"][0] = [render_value(-parse_value(v))
+                             for v in payload["vectors"][0]]
     st.write_record(key, payload)
     st.flush_index()
     v = run("verify", "--store", store)

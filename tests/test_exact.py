@@ -54,17 +54,8 @@ def test_sum_arithmetic():
 
 
 def test_inversion_single_term():
-    inv = rs(Radical(Fraction(2, 3), 5)).invert()
+    inv = RS_ONE / Radical(Fraction(2, 3), 5)
     assert inv == rs(Radical(Fraction(3, 10), 5))
-
-
-def test_inversion_by_conjugation():
-    x = rs(Radical(Fraction(1), 2)) + 1
-    assert x.invert() == rs(Radical(Fraction(1), 2)) - 1
-    y = rs(Radical(Fraction(1), 2)) + rs(Radical(Fraction(1), 3))
-    assert y.invert() == rs(Radical(Fraction(1), 3)) - rs(Radical(Fraction(1), 2))
-    with pytest.raises(ZeroDivisionError):
-        RS_ZERO.invert()
 
 
 def test_division_forms():
@@ -72,8 +63,11 @@ def test_division_forms():
     assert x / 3 == rs(Radical(Fraction(1), 2))
     assert x / Fraction(3, 2) == rs(Radical(Fraction(2), 2))
     assert x / Radical(Fraction(1), 2) == rs(3)
-    assert x / (rs(Radical(Fraction(1), 2)) + 1) \
-        == x * (rs(Radical(Fraction(1), 2)) - 1)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    # the solver eliminates over the rationals; sums are never divisors
+    with pytest.raises(ValueError, match="sum of radicals"):
+        x / (rs(Radical(Fraction(1), 2)) + 1)
 
 
 def test_exact_sign():
@@ -151,14 +145,6 @@ def test_add_sub_cancel(x, y):
 @settings(deadline=None)
 def test_mul_distributes(x, y, z):
     assert x * (y + z) == x * y + x * z
-
-
-@given(radical_sums())
-@settings(deadline=None)
-def test_invert_is_exact(x):
-    if x.is_zero():
-        return
-    assert x * x.invert() == RS_ONE
 
 
 @given(radical_sums())

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from so5racah.errors import DegenerateForm
-from so5racah.exact import RS_ONE, RS_ZERO, Radical, parse_value, rs
+from so5racah.errors import DegenerateForm, NotFactorable
+from so5racah.exact import RS_ONE, Radical, canonicalize, rs
+from so5racah.halfint import HalfInt
 from so5racah.linalg import ExactMatrix, form_dot, gram_schmidt, vec_dot
+from so5racah.racah import build_system
+from so5racah.so5 import So5Irrep, so5_kronecker
 
 
 def F(a, b=1):
@@ -62,12 +65,13 @@ def test_nullspace_free_columns_descending():
     assert ns[1][1] == RS_ONE and ns[1][2].is_zero()
 
 
-def _random_exact(rng, n_terms=1):
-    total = RS_ZERO
-    for _ in range(rng.randint(0, n_terms)):
-        total = total + rs(Radical(Fraction(rng.randint(-3, 3)),
-                                   rng.choice([1, 2, 3, 5])))
-    return total
+def _random_factored(rng, nr, nc):
+    """Random diag(sqrt a) Q diag(sqrt b): Q rational with about half its
+    entries zero, a_i and b_j squarefree."""
+    a = [rng.choice([1, 2, 3, 5]) for _ in range(nr)]
+    b = [rng.choice([1, 2, 3, 5]) for _ in range(nc)]
+    return [[rs(canonicalize(rng.randint(0, 1) * rng.randint(-3, 3), a[i] * b[j]))
+             for j in range(nc)] for i in range(nr)]
 
 
 def test_rank_matches_numpy_svd():
@@ -75,7 +79,7 @@ def test_rank_matches_numpy_svd():
     for trial in range(25):
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 5)
-        rows = [[_random_exact(rng) for _ in range(nc)] for _ in range(nr)]
+        rows = _random_factored(rng, nr, nc)
         m = ExactMatrix(rows, ncols=nc)
         a = np.array([[float(x.decimal(25)) for x in r] for r in rows])
         num_rank = np.linalg.matrix_rank(a, tol=1e-8)
@@ -88,7 +92,7 @@ def test_nullspace_annihilates_and_is_deterministic():
     for trial in range(15):
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 5)
-        rows = [[_random_exact(rng) for _ in range(nc)] for _ in range(nr)]
+        rows = _random_factored(rng, nr, nc)
         m1 = ExactMatrix(rows, ncols=nc)
         m2 = ExactMatrix(rows, ncols=nc)
         b1 = m1.nullspace()
@@ -96,6 +100,27 @@ def test_nullspace_annihilates_and_is_deterministic():
         assert b1 == b2
         for v in b1:
             assert all(x.is_zero() for x in m1.matvec(v))
+
+
+def test_rank_matches_numpy_on_racah_systems():
+    irreps = [So5Irrep(HalfInt(tr), HalfInt(ts))
+              for tr in range(3) for ts in range(tr + 1)]
+    for g1 in irreps:
+        for g2 in irreps:
+            for g in so5_kronecker(g1, g2):
+                m = build_system(g1, g2, g).matrix
+                a = np.array([[float(x.decimal(25)) for x in r] for r in m.rows])
+                assert m.rank() == np.linalg.matrix_rank(a), (g1, g2, g)
+
+
+def test_not_factorable():
+    root2 = rs(Radical(Fraction(1), 2))
+    # row 0 puts columns 0 and 1 in classes a factor sqrt(2) apart, row 1
+    # in the same class
+    with pytest.raises(NotFactorable):
+        ExactMatrix([[root2, F(1)], [F(1), F(1)]]).rank()
+    with pytest.raises(NotFactorable):
+        ExactMatrix([[root2 + 1, F(1)], [F(0), F(1)]]).nullspace()
 
 
 def test_gram_schmidt_plain():
