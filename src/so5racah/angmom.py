@@ -10,6 +10,7 @@ coefficient transformation are the ones of `chains`.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .chains import BracketSet, ladder, op_add, op_compose, op_scale, \
     primitive, transform, verify_brackets, weight_basis
@@ -104,8 +105,11 @@ def _split(key):
     return (0,) + key
 
 
+@lru_cache(maxsize=None)
 def chain3_brackets(g):
-    """Chain (III) brackets keyed (alpha, L, M_L); alpha is creation order."""
+    """Chain (III) brackets keyed (alpha, L, M_L); alpha is creation order.
+    Built once per irrep per process; the set is shared and read-only,
+    and cache_clear() drops it."""
     basis = weight_basis(g)
     entries = ladder(basis, chain3_level, chain3_lowering(g, basis))
     return BracketSet(g, "angmom", {key[1:]: terms for key, terms in entries.items()})

@@ -16,6 +16,7 @@ Sparse matrices are column-major: mat[j] is a dict {i: value} so that
 
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import DegenerateForm, InternalInconsistency, LadderNullUnexpected
 from .exact import RS_ONE, RS_ZERO, root_of_rational, rs
@@ -30,7 +31,9 @@ class BracketSet:
 
     entries maps a chain label tuple to a tuple of
     ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs.  Chain (II) labels are
-    (M_S, kappa, T, M_T); chain (III) labels are (alpha, L, M_L).
+    (M_S, kappa, T, M_T); chain (III) labels are (alpha, L, M_L).  It is
+    a read-only view, because the chain modules cache one set per irrep
+    and hand the same object to every caller.
     """
 
     __slots__ = ("irrep", "chain", "entries")
@@ -38,7 +41,7 @@ class BracketSet:
     def __init__(self, irrep, chain, entries):
         self.irrep = irrep
         self.chain = chain
-        self.entries = entries
+        self.entries = MappingProxyType(entries)
 
     def labels(self):
         return list(self.entries)

@@ -18,7 +18,7 @@ from .formats import block_from_record, block_record, chain2_record, \
 from .halfint import HalfInt
 from .isospin import chain2_branch, chain2_brackets, chain2_transform, \
     verify_chain2_brackets
-from .racah import solve_isoscalars, verify_block
+from .racah import build_system, solve_isoscalars, verify_block
 from .so5 import So5Irrep, so5_branch_so4, so5_kronecker
 from .store import Store, record_key
 
@@ -280,14 +280,18 @@ def _verify_payload(payload):
         return ["unknown record kind %r" % kind]
     irreps = [So5Irrep.parse(payload[slot]) for slot in ("g1", "g2", "g")]
     if kind == "block":
-        chain = "so4"
-        problems = verify_block(block_from_record(payload))
+        # one assembly serves the stored block's checks and the fresh solve
+        block = block_from_record(payload)
+        system = build_system(*irreps)
+        problems = verify_block(block, system)
+        fresh = block_record(solve_isoscalars(*irreps, system=system))
     else:
         chain, brackets, check = _TABLE_CHAINS[kind]
         problems = []
         for g in dict.fromkeys(irreps):
             problems += check(g, brackets(g))
-    if _compute_payload(chain, *irreps) != payload:
+        fresh = _compute_payload(chain, *irreps)
+    if fresh != payload:
         problems.append("record differs from the one recomputed from a "
                         "freshly solved canonical block")
     return problems

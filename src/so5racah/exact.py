@@ -72,6 +72,8 @@ class Radical:
             # for squarefree a, b the remaining radicand is squarefree,
             # so no re-factorization is needed.
             d = gcd(self.rad, other.rad)
+            if d == 1:
+                return Radical(self.coeff * other.coeff, self.rad * other.rad)
             return Radical(self.coeff * other.coeff * d,
                            (self.rad // d) * (other.rad // d))
         if isinstance(other, (int, Fraction)):
@@ -203,7 +205,11 @@ class RadicalSum:
             return self
         out = dict(self.terms)
         for r, c in other.terms.items():
-            s = out.get(r, 0) + c
+            prev = out.get(r)
+            if prev is None:
+                out[r] = c
+                continue
+            s = prev + c
             if s:
                 out[r] = s
             else:
@@ -239,13 +245,23 @@ class RadicalSum:
         out = {}
         for ra, ca in self.terms.items():
             for rb, cb in other.terms.items():
+                # sqrt(ra)*sqrt(rb) = d*sqrt((ra/d)(rb/d)), d = gcd(ra, rb)
                 d = gcd(ra, rb)
-                r = (ra // d) * (rb // d)
-                c = out.get(r, 0) + ca * cb * d
+                if d == 1:
+                    r = ra * rb
+                    c = ca * cb
+                else:
+                    r = (ra // d) * (rb // d)
+                    c = ca * cb * d
+                prev = out.get(r)
+                if prev is None:
+                    out[r] = c
+                    continue
+                c += prev
                 if c:
                     out[r] = c
                 else:
-                    out.pop(r, None)
+                    del out[r]
         return RadicalSum(out)
 
     __rmul__ = __mul__

@@ -97,7 +97,10 @@ class HalfInt:
         return self.twice < t
 
     def __hash__(self):
-        return hash(Fraction(self.twice, 2))
+        # twice / 2 is exact for any label met here (|twice| < 2**53), and
+        # Python's numeric hash of an exact float equals that of the
+        # equal Fraction or int, so equal values still hash alike
+        return hash(self.twice / 2)
 
     def __bool__(self):
         return self.twice != 0

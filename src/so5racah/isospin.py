@@ -10,6 +10,7 @@ the ones of `chains`.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor
 
 from .chains import BracketSet, ladder, op_scale, primitive, transform, \
@@ -84,9 +85,11 @@ def _split(key):
     return key
 
 
+@lru_cache(maxsize=None)
 def chain2_brackets(g):
     """All chain (II) transformation brackets of g, keyed
-    (M_S, kappa, T, M_T)."""
+    (M_S, kappa, T, M_T).  Built once per irrep per process; the set is
+    shared and read-only, and cache_clear() drops it."""
     basis = weight_basis(g)
     return BracketSet(g, "isospin",
                       ladder(basis, chain2_level, chain2_lowering(g, basis)))

@@ -214,6 +214,27 @@ def test_verify_recomputes_block(tmp_path):
     assert "FAIL %s" % key in v.output
 
 
+def test_verify_assembles_each_block_once(tmp_path, monkeypatch):
+    # the stored block's checks and the fresh solve share one system
+    from so5racah import cli, racah
+    store = str(tmp_path / "st")
+    r = run("couple", "--g1", "(1,0)", "--g2", "(1,1/2)", "--g", "(1,1/2)",
+            "--store", store)
+    assert r.exit_code == 0
+    calls = []
+    build = racah.build_system
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(racah, "build_system", counting)
+    monkeypatch.setattr(cli, "build_system", counting, raising=False)
+    v = run("verify", "--store", store)
+    assert v.exit_code == 0, v.output
+    assert len(calls) == 1
+
+
 def test_tabulate_jobs_deterministic(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert run("tabulate", "--max-r", "1/2", "--jobs", "1",

@@ -53,6 +53,15 @@ def test_sum_arithmetic():
     assert not x.is_rational()
 
 
+def test_products_cancel_exactly():
+    r2 = rs(Radical(Fraction(1), 2))
+    r3 = rs(Radical(Fraction(1), 3))
+    # (sqrt2 + sqrt3)(sqrt2 - sqrt3) = 2 - 3: the sqrt6 cross terms cancel
+    assert ((r2 + r3) * (r2 - r3)).terms == {1: Fraction(-1)}
+    x = r2 + r3 + Fraction(1, 7)
+    assert (x + (-x)).terms == {}
+
+
 def test_inversion_single_term():
     inv = RS_ONE / Radical(Fraction(2, 3), 5)
     assert inv == rs(Radical(Fraction(3, 10), 5))
@@ -139,6 +148,21 @@ def test_render_parse_round_trip(x):
 @given(radical_sums(), radical_sums())
 def test_add_sub_cancel(x, y):
     assert (x + y) - y == x
+
+
+@given(radical_sums(), radical_sums())
+def test_mul_matches_termwise_reference(x, y):
+    # the product term by term from single-radical products, each of
+    # which must agree with re-factoring the radicand from scratch
+    parts = []
+    for ra, ca in x.terms.items():
+        for rb, cb in y.terms.items():
+            p = Radical(ca, ra) * Radical(cb, rb)
+            assert p == canonicalize(ca * cb, ra * rb)
+            parts.append(p)
+    prod = x * y
+    assert prod == RadicalSum.of(*parts)
+    assert all(c != 0 for c in prod.terms.values())
 
 
 @given(radical_sums(), radical_sums(), radical_sums())

@@ -41,6 +41,10 @@ def test_arithmetic_and_ordering():
 def test_hash_agrees_with_fraction():
     assert hash(hi(2)) == hash(Fraction(2))
     assert {hi(1): "x"}[hi(1)] == "x"
+    # half-odd values too: set and dict behaviour must not depend on
+    # whether a label is held as HalfInt or Fraction
+    for t in range(-41, 42):
+        assert hash(HalfInt(t)) == hash(Fraction(t, 2))
 
 
 def test_views():
