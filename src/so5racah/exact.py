@@ -72,8 +72,6 @@ class Radical:
             # for squarefree a, b the remaining radicand is squarefree,
             # so no re-factorization is needed.
             d = gcd(self.rad, other.rad)
-            if d == 1:
-                return Radical(self.coeff * other.coeff, self.rad * other.rad)
             return Radical(self.coeff * other.coeff * d,
                            (self.rad // d) * (other.rad // d))
         if isinstance(other, (int, Fraction)):
@@ -205,11 +203,7 @@ class RadicalSum:
             return self
         out = dict(self.terms)
         for r, c in other.terms.items():
-            prev = out.get(r)
-            if prev is None:
-                out[r] = c
-                continue
-            s = prev + c
+            s = out.get(r, 0) + c
             if s:
                 out[r] = s
             else:
@@ -247,12 +241,8 @@ class RadicalSum:
             for rb, cb in other.terms.items():
                 # sqrt(ra)*sqrt(rb) = d*sqrt((ra/d)(rb/d)), d = gcd(ra, rb)
                 d = gcd(ra, rb)
-                if d == 1:
-                    r = ra * rb
-                    c = ca * cb
-                else:
-                    r = (ra // d) * (rb // d)
-                    c = ca * cb * d
+                r = (ra // d) * (rb // d)
+                c = ca * cb * d
                 prev = out.get(r)
                 if prev is None:
                     out[r] = c
