@@ -274,7 +274,10 @@ _TABLE_CHAINS = {
 }
 
 
-def _verify_payload(payload):
+def _verify_payload(payload, checked):
+    """Problems of one record.  checked maps (chain, irrep) to the
+    problems of that irrep's bracket check, so one verify run checks
+    each irrep once."""
     kind = payload.get("kind")
     if kind != "block" and kind not in _TABLE_CHAINS:
         return ["unknown record kind %r" % kind]
@@ -289,7 +292,9 @@ def _verify_payload(payload):
         chain, brackets, check = _TABLE_CHAINS[kind]
         problems = []
         for g in dict.fromkeys(irreps):
-            problems += check(g, brackets(g))
+            if (chain, g) not in checked:
+                checked[chain, g] = check(g, brackets(g))
+            problems += checked[chain, g]
         fresh = _compute_payload(chain, *irreps)
     if fresh != payload:
         problems.append("record differs from the one recomputed from a "
@@ -308,6 +313,7 @@ def verify(store_path):
     st = Store(store_path)
     keys = st.keys()
     bad = 0
+    checked = {}
     for key in keys:
         try:
             payload, problems = st.check_record(key)
@@ -315,7 +321,7 @@ def verify(store_path):
             payload, problems = None, [str(e)]
         if payload is not None and not problems:
             try:
-                problems = _verify_payload(payload)
+                problems = _verify_payload(payload, checked)
             except So5Error as e:
                 problems = [str(e)]
         click.echo("%s %s" % ("ok  " if not problems else "FAIL", key))

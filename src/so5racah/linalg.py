@@ -1,63 +1,55 @@
-"""Dense exact linear algebra for the Racah system.
+"""Sparse exact linear algebra for the Racah system.
 
 Only what the coupling engine needs: reduced row echelon form, rank,
 null spaces, and Gram-Schmidt under a caller-supplied symmetric form.
 
-Elimination runs over the rationals.  Each nonzero entry of a Racah
-relation matrix is a single radical (one generator reduced matrix
-element times one recoupling symbol), and the matrix factors as
-M = diag(sqrt a) Q diag(sqrt b) with Q rational and a_i, b_j
-squarefree.  M and Q have the same pivot columns, and row i of
-RREF(M) is row i of RREF(Q) times sqrt(b_f / b_p) at column f, p being
-the pivot column of row i.  A matrix without this form raises
-NotFactorable.
+A matrix is a list of sparse rows {column: Radical}: each nonzero entry
+of a Racah relation matrix is a single radical (one generator reduced
+matrix element times one recoupling symbol).  Elimination runs over the
+rationals: the matrix factors as M = diag(sqrt a) Q diag(sqrt b) with Q
+rational and a_i, b_j squarefree.  M and Q have the same pivot columns,
+and row i of RREF(M) is row i of RREF(Q) times sqrt(b_f / b_p) at
+column f, p being the pivot column of row i.  A matrix without this
+form raises NotFactorable.
 """
 
 from fractions import Fraction
 
 from .errors import DegenerateForm, NotFactorable
-from .exact import RS_ONE, RS_ZERO, Radical, RadicalSum, root_of_rational, rs
+from .exact import RS_ONE, RS_ZERO, Radical, RadicalSum, root_of_rational
 
 
 class ExactMatrix:
-    """Dense matrix of RadicalSum entries."""
+    """Sparse matrix: entries[i] is row i as {column: nonzero Radical}."""
 
-    def __init__(self, rows, ncols=None):
-        self.rows = [[rs(x) for x in row] for row in rows]
-        if self.rows:
-            self._ncols = len(self.rows[0])
-            if any(len(r) != self._ncols for r in self.rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != self._ncols:
-                raise ValueError("ncols does not match the rows")
-        else:
-            self._ncols = ncols or 0
+    def __init__(self, entries, ncols):
+        self.entries = entries
+        self.ncols = ncols
         self._rref = None
 
     @property
     def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return self._ncols
+        return len(self.entries)
 
     def matvec(self, v):
-        return [vec_dot(row, v) for row in self.rows]
+        return [sum((v[j] * x for j, x in row.items() if not v[j].is_zero()),
+                    RS_ZERO) for row in self.entries]
 
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column list).
+        """Reduced row echelon form; returns (rows, pivot column list).
 
-        The RREF is the canonical one (unique for given column order).
-        Gauss-Jordan runs on the sparse rational rows of Q, pivoting on
-        the shortest candidate row (less fill-in, same result).
+        The RREF is the canonical one (unique for given column order);
+        its rows come sparse, {column: Radical} over the nonzero
+        entries.  Gauss-Jordan runs on the sparse rational rows of Q,
+        pivoting on the shortest candidate row (less fill-in, same
+        result).
         """
         if self._rref is not None:
             return self._rref
-        nr, nc = self.nrows, self.ncols
-        m, b = _factor(self.rows, nc)
+        nr = self.nrows
+        m, b = _factor(self.entries, self.ncols)
         pivots = []
-        for col in range(nc):
+        for col in range(self.ncols):
             pr = len(pivots)
             cands = [i for i in range(pr, nr) if col in m[i]]
             if not cands:
@@ -78,11 +70,9 @@ class ExactMatrix:
             prow[col] = Fraction(1)
             m[pr] = prow
             pivots.append(col)
-        red = [[RS_ZERO] * nc for _ in range(nr)]
-        for row, p, out in zip(m, pivots, red):
-            for f, x in row.items():
-                out[f] = (Radical(x, b[f]) * Radical(Fraction(1, b[p]), b[p])).as_sum()
-        self._rref = (ExactMatrix(red, ncols=nc), pivots)
+        red = [{f: Radical(x, b[f]) * Radical(Fraction(1, b[p]), b[p])
+                for f, x in row.items()} for row, p in zip(m, pivots)]
+        self._rref = (red, pivots)
         return self._rref
 
     def rank(self):
@@ -91,8 +81,8 @@ class ExactMatrix:
     def nullspace(self):
         """Canonical null-space basis from the RREF free columns.
 
-        One basis vector per free column, with entry 1 at its free
-        column, 0 at the other free columns, and the negated RREF
+        One dense basis vector per free column, with entry 1 at its
+        free column, 0 at the other free columns, and the negated RREF
         entries at the pivot columns.  Free columns are taken in
         descending order, so the first basis vector is the one carrying
         the unit entry at the highest column position; downstream this
@@ -107,16 +97,16 @@ class ExactMatrix:
         for f in free:
             v = [RS_ZERO] * nc
             v[f] = RS_ONE
-            for i, pc in enumerate(pivots):
-                entry = red.rows[i][f]
-                if not entry.is_zero():
-                    v[pc] = -entry
+            for row, pc in zip(red, pivots):
+                entry = row.get(f)
+                if entry is not None:
+                    v[pc] = (-entry).as_sum()
             basis.append(v)
         return basis
 
 
-def _factor(rows, ncols):
-    """Split rows = diag(sqrt a) Q diag(sqrt b); returns (Q, b).
+def _factor(entries, ncols):
+    """Split entries = diag(sqrt a) Q diag(sqrt b); returns (Q, b).
 
     Q comes as sparse rows {column: Fraction}.  The classes are spread
     over the row/column graph of the nonzero entries, each connected
@@ -124,20 +114,13 @@ def _factor(rows, ncols):
     rational multiple of sqrt(b_j), and times sqrt(b_j) one of sqrt(a_i).
     Setting b_j checks every entry of column j.  Empty columns get 1.
     """
-    entries = []  # per row: {column: Radical}
     by_col = [[] for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        ent = {}
-        for j, x in enumerate(row):
-            if len(x.terms) > 1:
-                raise NotFactorable("entry (%d, %d) = %s is a sum" % (i, j, x))
-            for r, c in x.terms.items():
-                ent[j] = Radical(c, r)
-                by_col[j].append(i)
-        entries.append(ent)
-    a = [None] * len(rows)
+    for i, row in enumerate(entries):
+        for j in row:
+            by_col[j].append(i)
+    a = [None] * len(entries)
     b = [None] * ncols
-    for root in range(len(rows)):
+    for root in range(len(entries)):
         if a[root] is not None:
             continue
         a[root] = 1
@@ -157,8 +140,8 @@ def _factor(rows, ncols):
                         raise NotFactorable("entry (%d, %d): radical class "
                                             "conflict" % (k, j))
     # row i of diag(sqrt a) M is diag(a) Q diag(sqrt b)
-    q = [{j: (x * Radical(1, a[i])).coeff / a[i] for j, x in ent.items()}
-         for i, ent in enumerate(entries)]
+    q = [{j: (x * Radical(1, a[i])).coeff / a[i] for j, x in row.items()}
+         for i, row in enumerate(entries)]
     return q, [1 if x is None else x for x in b]
 
 
@@ -171,10 +154,10 @@ def vec_dot(u, v):
 
 
 def form_dot(u, v, form):
-    """<u, v> under the symmetric bilinear form (a matrix or None)."""
+    """<u, v> under the symmetric bilinear form (a list of rows or None)."""
     if form is None:
         return vec_dot(u, v)
-    return vec_dot(u, form.matvec(v))
+    return vec_dot(u, [vec_dot(row, v) for row in form])
 
 
 def gram_schmidt(vectors, form=None):

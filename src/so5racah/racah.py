@@ -59,17 +59,20 @@ class RacahSystem:
         self.n_augmented = n_augmented
 
 
-def _racah_row(g1, g2, g, colindex, ncols, lam1, lam2, lam, lamp, with_lhs):
-    """One relation row over the columns; lam may lie outside branch(g)
-    only when with_lhs is false (the known-zero augmentation rows)."""
-    row = [RS_ZERO] * ncols
-    nonzero = False
+def _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp, with_lhs):
+    """One relation as a sparse row {column: Radical}, or None if empty.
+
+    lam may lie outside branch(g) only when with_lhs is false (the
+    known-zero augmentation rows).  The three kinds of term never share
+    a column: the left side carries the product label lam and the
+    others carry lamp, and a generator always changes the label it acts
+    on, so lamp != lam and the g1 and g2 terms differ in (X1Y1).
+    """
+    row = {}
     if with_lhs:
         rme = generator_rme(g, lam, lamp)
         if not rme.is_zero():
-            i = colindex[(lam1, lam2, lam)]
-            row[i] = row[i] + (-1) * rme
-            nonzero = True
+            row[colindex[(lam1, lam2, lam)]] = -rme
     phi_l = so4_phi(lam1, lam2, lam)
     for lam1p in so5_branch_so4(g1):
         rme1 = generator_rme(g1, lam1, lam1p)
@@ -78,10 +81,8 @@ def _racah_row(g1, g2, g, colindex, ncols, lam1, lam2, lam, lamp, with_lhs):
         u = so4_usixj(lam2, lam1p, lamp, HALFHALF, lam, lam1)
         if u.is_zero():
             continue
-        val = (phi_l * so4_phi(lam1p, lam2, lamp)) * u * rme1
-        i = colindex[(lam1p, lam2, lamp)]
-        row[i] = row[i] + val
-        nonzero = True
+        row[colindex[(lam1p, lam2, lamp)]] = \
+            (phi_l * so4_phi(lam1p, lam2, lamp)) * u * rme1
     for lam2p in so5_branch_so4(g2):
         rme2 = generator_rme(g2, lam2, lam2p)
         if rme2.is_zero():
@@ -89,14 +90,29 @@ def _racah_row(g1, g2, g, colindex, ncols, lam1, lam2, lam, lamp, with_lhs):
         u = so4_usixj(lam1, lam2p, lamp, HALFHALF, lam, lam2)
         if u.is_zero():
             continue
-        val = u * rme2
-        i = colindex[(lam1, lam2p, lamp)]
-        row[i] = row[i] + val
-        nonzero = True
-    return row if nonzero else None
+        row[colindex[(lam1, lam2p, lamp)]] = u * rme2
+    return row or None
 
 
-def build_system(g1, g2, g, augment=True):
+def _relations(g1, g2, g, colindex, lams, with_lhs):
+    """Yield (labels, row) for every nonempty relation whose product
+    label lam is taken from lams, in canonical order."""
+    branch_g = so5_branch_so4(g)
+    for lam1 in so5_branch_so4(g1):
+        for lam2 in so5_branch_so4(g2):
+            for lam in lams:
+                if not so4_triangle(lam1, lam2, lam):
+                    continue
+                for lamp in branch_g:
+                    if not so4_triangle(lamp, HALFHALF, lam):
+                        continue
+                    row = _racah_row(g1, g2, g, colindex,
+                                     lam1, lam2, lam, lamp, with_lhs)
+                    if row is not None:
+                        yield (lam1, lam2, lam, lamp), row
+
+
+def build_system(g1, g2, g):
     """Assemble the relation matrix; all-zero rows are dropped.
 
     If the normal rows leave the nullity above the outer multiplicity
@@ -112,60 +128,29 @@ def build_system(g1, g2, g, augment=True):
     colindex = {c: i for i, c in enumerate(columns)}
     ncols = len(columns)
     branch_g = so5_branch_so4(g)
-    branch_set = set(branch_g)
-    b1 = so5_branch_so4(g1)
-    b2 = so5_branch_so4(g2)
 
-    rows = []
-    labels = []
-    for lam1 in b1:
-        for lam2 in b2:
-            prods = set(so4_kronecker(lam1, lam2))
-            for lam in branch_g:
-                if lam not in prods:
-                    continue
-                for lamp in branch_g:
-                    if not so4_triangle(lamp, HALFHALF, lam):
-                        continue
-                    row = _racah_row(g1, g2, g, colindex, ncols,
-                                     lam1, lam2, lam, lamp, True)
-                    if row is not None:
-                        rows.append(row)
-                        labels.append((lam1, lam2, lam, lamp))
-
-    matrix = ExactMatrix(rows, ncols=ncols)
-    n_aug = 0
-    if augment and matrix.rank() < ncols - D:
+    rels = list(_relations(g1, g2, g, colindex, branch_g, True))
+    n_normal = len(rels)
+    matrix = ExactMatrix([row for _, row in rels], ncols)
+    if matrix.rank() < ncols - D:
         # supply of outside labels: one SO(4) generator step away from
         # the branching, canonical order
         supply = sorted(
             {c for lamp in branch_g for c in so4_kronecker(lamp, HALFHALF)}
-            - branch_set)
+            - set(branch_g))
         for lam in supply:
-            added = False
-            for lam1 in b1:
-                for lam2 in b2:
-                    if not so4_triangle(lam1, lam2, lam):
-                        continue
-                    for lamp in branch_g:
-                        if not so4_triangle(lamp, HALFHALF, lam):
-                            continue
-                        row = _racah_row(g1, g2, g, colindex, ncols,
-                                         lam1, lam2, lam, lamp, False)
-                        if row is not None:
-                            rows.append(row)
-                            labels.append((lam1, lam2, lam, lamp))
-                            n_aug += 1
-                            added = True
-            if added:
-                matrix = ExactMatrix(rows, ncols=ncols)
+            more = list(_relations(g1, g2, g, colindex, [lam], False))
+            if more:
+                rels += more
+                matrix = ExactMatrix([row for _, row in rels], ncols)
                 if matrix.rank() == ncols - D:
                     break
     if matrix.rank() != ncols - D:
         raise RankDefect(
             "%s x %s -> %s: rank %d, want %d (N=%d, D=%d)"
             % (g1, g2, g, matrix.rank(), ncols - D, ncols, D))
-    return RacahSystem(g1, g2, g, columns, matrix, labels, n_aug)
+    return RacahSystem(g1, g2, g, columns, matrix, [lab for lab, _ in rels],
+                       len(rels) - n_normal)
 
 
 class IsoscalarBlock:
@@ -198,7 +183,13 @@ def _group_slices(columns):
     return out
 
 
-def _sign_positions(g1, g2, columns):
+def _group_gram(vectors, idxs):
+    """Gram matrix of the vectors restricted to the positions idxs."""
+    return [[sum((u[i] * v[i] for i in idxs), RS_ZERO) for v in vectors]
+            for u in vectors]
+
+
+def _sign_positions(columns):
     """Column indices in the Condon-Shortley scan order.
 
     Primary position: highest-weight (X1Y1) and (XY) with the highest
@@ -232,21 +223,20 @@ def solve_isoscalars(g1, g2, g, system=None):
     meta["sign_fallback"] = False
 
     first = None
-    for lam, idxs in groups.items():
-        m = [[sum((basis[a][i] * basis[b][i] for i in idxs), RS_ZERO)
-              for b in range(D)] for a in range(D)]
+    for idxs in groups.values():
+        m = _group_gram(basis, idxs)
         if first is None:
             first = m
         elif m != first:
             raise NormInconsistency("M differs between groups")
     unit = [[RS_ONE if r == c else RS_ZERO for c in range(D)] for r in range(D)]
-    combos = gram_schmidt(unit, form=ExactMatrix(first))
+    combos = gram_schmidt(unit, form=first)
     vectors = [[vec_dot(a, col) for col in zip(*basis)] for a in combos]
     meta["m_matrix"] = first
     if D == 1:
         meta["norm2"] = first[0][0].rational()
 
-    scan = _sign_positions(g1, g2, columns)
+    scan = _sign_positions(columns)
     primary = scan[0]
     for rho, v in enumerate(vectors):
         pos = next((i for i in scan if not v[i].is_zero()), None)
@@ -276,14 +266,12 @@ def verify_block(block, system=None):
             if not resid.is_zero():
                 fails.append("row %d (labels %s) does not annihilate rho=%d"
                              % (k, system.row_labels[k], rho))
-    groups = _group_slices(block.columns)
     D = block.D
-    for lam, idxs in groups.items():
+    for lam, idxs in _group_slices(block.columns).items():
+        gram = _group_gram(block.vectors, idxs)
         for a in range(D):
             for b in range(a, D):
-                s = RS_ZERO
-                for i in idxs:
-                    s = s + block.vectors[a][i] * block.vectors[b][i]
+                s = gram[a][b]
                 want = RadicalSum.from_rational(1 if a == b else 0)
                 if s != want:
                     fails.append("bra-sum at %s: <%d|%d> = %s" % (lam, a + 1, b + 1, s))

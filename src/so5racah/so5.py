@@ -42,13 +42,6 @@ class So5Irrep:
         assert num % 6 == 0
         return num // 6
 
-    def highest(self):
-        return So4Irrep(self.R, self.S)
-
-    def branch_so4(self):
-        """SO(4) content (multiplicity-free), canonical order."""
-        return so5_branch_so4(self)
-
     def __eq__(self, other):
         return isinstance(other, So5Irrep) and self.key() == other.key()
 

@@ -6,14 +6,20 @@ The digests were taken from the elimination over the radical field
 that the rational solver replaced.  They pin columns, vectors, signs
 and every rendered value, and they cover all nine augmented systems
 with R1,R2 <= 3/2 (X x X -> (0,0)).
+
+One more digest pins the Racah systems of the same couplings: row
+labels, each row's nonzero columns, the augmented row count and the
+pivot columns.  It was taken from the dense relation rows that the
+sparse ones replaced.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from so5racah.formats import block_record, canonical_json
-from so5racah.racah import solve_isoscalars
+from so5racah.racah import build_system, solve_isoscalars
 from so5racah.so5 import So5Irrep
 
 DIGESTS = {
@@ -251,3 +257,19 @@ def test_block_record_frozen(g1, g2, g):
     blk = solve_isoscalars(*(So5Irrep.parse(s) for s in (g1, g2, g)))
     digest = hashlib.sha256(canonical_json(block_record(blk))).hexdigest()
     assert digest == DIGESTS[(g1, g2, g)]
+
+
+SYSTEMS_DIGEST = "7078b52eeddd0e3a55a1675e3058dfbae41cee953a4e5874d949fc62f392647a"
+
+
+def test_systems_frozen():
+    out = []
+    for key in DIGESTS:
+        system = build_system(*(So5Irrep.parse(s) for s in key))
+        out.append([list(key),
+                    [[str(lam) for lam in labels] for labels in system.row_labels],
+                    [sorted(row) for row in system.matrix.entries],
+                    system.n_augmented,
+                    system.matrix.rref()[1]])
+    blob = json.dumps(out, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == SYSTEMS_DIGEST

@@ -235,6 +235,30 @@ def test_verify_assembles_each_block_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_checks_each_irrep_once(tmp_path, monkeypatch):
+    # two isospin tables over the same two irreps: each irrep's brackets
+    # are checked once per run, and both records still pass
+    from so5racah import cli
+    store = str(tmp_path / "st")
+    for g2, g in (("(1/2,0)", "(1,0)"), ("(1,0)", "(1/2,0)")):
+        r = run("couple", "--chain", "isospin", "--g1", "(1/2,0)", "--g2", g2,
+                "--g", g, "--store", store)
+        assert r.exit_code == 0
+    chain, brackets, check = cli._TABLE_CHAINS["chain2-table"]
+    calls = []
+
+    def counting(g, bs):
+        calls.append(str(g))
+        return check(g, bs)
+
+    monkeypatch.setitem(cli._TABLE_CHAINS, "chain2-table",
+                        (chain, brackets, counting))
+    v = run("verify", "--store", store)
+    assert v.exit_code == 0, v.output
+    assert v.output.count("ok   isospin|") == 2
+    assert sorted(calls) == ["(1,0)", "(1/2,0)"]
+
+
 def test_tabulate_jobs_deterministic(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert run("tabulate", "--max-r", "1/2", "--jobs", "1",

@@ -107,7 +107,8 @@ def test_branching_example():
     g = So5Irrep(1, H)
     assert [str(lam) for lam in so5_branch_so4(g)] == [
         "(0,1/2)", "(1/2,0)", "(1/2,1)", "(1,1/2)"]
-    assert g.highest() == So4Irrep(1, H)
+    # the label (R, S) is the highest SO(4) irrep contained
+    assert max(so5_branch_so4(g), key=So4Irrep.weight_key) == So4Irrep(1, H)
 
 
 def test_kronecker_small_series():
