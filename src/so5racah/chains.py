@@ -22,7 +22,7 @@ from .errors import DegenerateForm, InternalInconsistency, LadderNullUnexpected
 from .exact import RS_ONE, RS_ZERO, root_of_rational, rs
 from .halfint import HalfInt, mrange, triangle
 from .so4 import HALFHALF, so4_cg
-from .so5 import generator_rme, so5_branch_so4
+from .so5 import generator_rmes, so5_branch_so4
 from .su2 import su2_cg
 
 
@@ -114,15 +114,12 @@ def op_transpose(mat):
     return out
 
 
-def op_is_zero(mat):
-    return all(v.is_zero() for col in mat.values() for v in col.values())
-
-
 def primitive(g, basis, name):
     """One primitive SO(5) generator component over basis: "X+", "X-",
     "Y+", "Y-" (SU(2) ladders), "X0", "Y0" (weight diagonals), or the
     bitensor component T_{mu nu} named "T" plus the signs of mu, nu."""
     index = {s: k for k, s in enumerate(basis)}
+    rmes = generator_rmes(g)
     kind, signs = name[0], name[1:]
     mat = {}
     for j, (lam, mx, my) in enumerate(basis):
@@ -141,12 +138,11 @@ def primitive(g, basis, name):
             step = tuple(HalfInt(1 if c == "+" else -1) for c in signs)
             w = (mx + step[0], my + step[1])
             col = {}
-            for lamp in so5_branch_so4(g):
+            for lamp, rme in rmes[lam].items():
                 i = index.get((lamp,) + w)
                 if i is None:
                     continue
-                el = so4_cg(lam, (mx, my), HALFHALF, step, lamp, w) \
-                    * generator_rme(g, lamp, lam)
+                el = so4_cg(lam, (mx, my), HALFHALF, step, lamp, w) * rme
                 if not el.is_zero():
                     col[i] = rs(el)
             if col:
@@ -286,36 +282,9 @@ def verify_brackets(bs, basis, level, lower, split):
 
 # -- coefficient transformation --------------------------------------------
 
-def _value(block, rho, vecs, labs, m):
-    """One chain coefficient, summed at weight m of the product label:
-    SU(2) CG x three brackets x canonical coefficient x SO(4) CG."""
-    (s1, k1, j1), (s2, k2, j2), (s, k, j) = labs
-    v1, v2, v = vecs
-    total = RS_ZERO
-    terms = v[(s, k, j, m)]
-    for m1 in mrange(j1):
-        m2 = m - m1
-        if abs(m2) > j2:
-            continue
-        cg = su2_cg(j1, m1, j2, m2, j, m)
-        if cg.is_zero():
-            continue
-        terms1 = v1[(s1, k1, j1, m1)]
-        terms2 = v2[(s2, k2, j2, m2)]
-        for (lam, w), c in terms:
-            for (lam1, w1), c1 in terms1:
-                want = (w[0] - w1[0], w[1] - w1[1])
-                for (lam2, w2), c2 in terms2:
-                    if w2 != want:
-                        continue
-                    cc = block.value(lam1, lam2, lam, rho)
-                    if cc.is_zero():
-                        continue
-                    cg4 = so4_cg(lam1, w1, lam2, w2, lam, w)
-                    if cg4.is_zero():
-                        continue
-                    total = total + (c1 * c2) * (c * cc) * (cg * cg4)
-    return total
+def _accumulate(out, key, x):
+    prev = out.get(key)
+    out[key] = x if prev is None else prev + x
 
 
 def transform(block, brackets, split, row, order):
@@ -327,26 +296,99 @@ def transform(block, brackets, split, row, order):
     satisfy the triangle rule gives row(lab1, lab2, lab, values), with
     one value per outer multiplicity, evaluated at m = j and checked to
     be identical at m = j - 1.  Rows are returned sorted by order.
+
+    The sum is staged.  Each canonical state (lam, w) of g is coupled
+    once per rho from the canonical coefficients and SO(4) CGs, sparse
+    over product states (lam1 w1, lam2 w2), with so4_cg factored into
+    its X and Y SU(2) parts.  A chain state of g, at m = j and m = j - 1,
+    sums its bracket terms over those.  Contracting the sum with a chain
+    vector of g1 and taking the dot product with one of g2 gives their
+    overlap, and SU(2) CGs over m1 combine the overlaps into a row value.
+    The memo tables live for one call.
     """
-    vecs = []
-    for g in (block.g1, block.g2, block.g):
-        vecs.append({split(key): terms for key, terms in brackets(g).entries.items()})
+    vecs = [{split(key): terms for key, terms in brackets(g).entries.items()}
+            for g in (block.g1, block.g2, block.g)]
+    pairs = {}
+    for col, (lam1, lam2, lam) in enumerate(block.columns):
+        pairs.setdefault(lam, []).append((lam1, lam2, col))
+    coupled = {}
+
+    def couple(rho, lam, w):
+        """The canonical state (lam, w) of g as [(state1, state2, value)]."""
+        out = []
+        for lam1, lam2, col in pairs[lam]:
+            cc = block.vectors[rho][col]
+            if cc.is_zero():
+                continue
+            for mx1 in mrange(lam1.X):
+                mx2 = w[0] - mx1
+                cx = su2_cg(lam1.X, mx1, lam2.X, mx2, lam.X, w[0])
+                if cx.is_zero():
+                    continue
+                for my1 in mrange(lam1.Y):
+                    my2 = w[1] - my1
+                    cy = su2_cg(lam1.Y, my1, lam2.Y, my2, lam.Y, w[1])
+                    if not cy.is_zero():
+                        out.append(((lam1, (mx1, my1)), (lam2, (mx2, my2)),
+                                    cc * (cx * cy)))
+        return out
+
+    def chain_state(key, rho):
+        """The chain state key of g as {state1: {state2: value}}."""
+        psi = {}
+        for (lam, w), c in vecs[2][key]:
+            states = coupled.get((rho, lam, w))
+            if states is None:
+                states = coupled[(rho, lam, w)] = couple(rho, lam, w)
+            for st1, st2, x in states:
+                _accumulate(psi.setdefault(st1, {}), st2, c * x)
+        return psi
+
+    def values(psi, triples, j, m):
+        """{(lab1, lab2): value} at weight m of the chain state psi."""
+        halves = {}
+        out = {}
+        for lab1, lab2 in triples:
+            total = RS_ZERO
+            for m1 in mrange(lab1[2]):
+                m2 = m - m1
+                if abs(m2) > lab2[2]:
+                    continue
+                half = halves.get((lab1, m1))
+                if half is None:
+                    half = halves[(lab1, m1)] = {}
+                    for st1, c1 in vecs[0][lab1 + (m1,)]:
+                        for st2, x in psi.get(st1, {}).items():
+                            _accumulate(half, st2, c1 * x)
+                dot = RS_ZERO
+                for st2, c2 in vecs[1][lab2 + (m2,)]:
+                    x = half.get(st2)
+                    if x is not None:
+                        dot = dot + x * c2
+                if not dot.is_zero():
+                    total = total + su2_cg(lab1[2], m1, lab2[2], m2, j, m) * dot
+            out[(lab1, lab2)] = total
+        return out
+
     labs = [[(s, k, j) for s, k, j, m in v if m == j] for v in vecs]
     rows = []
-    for lab1 in labs[0]:
-        for lab2 in labs[1]:
-            for lab in labs[2]:
-                j = lab[2]
-                if lab[0] != lab1[0] + lab2[0] or not triangle(lab1[2], lab2[2], j):
-                    continue
-                values = []
-                for rho in range(1, block.D + 1):
-                    v = _value(block, rho, vecs, (lab1, lab2, lab), j)
-                    if j.twice >= 1 and v != _value(block, rho, vecs,
-                                                    (lab1, lab2, lab), j - 1):
+    for lab in labs[2]:
+        j = lab[2]
+        triples = [(lab1, lab2) for lab1 in labs[0] for lab2 in labs[1]
+                   if lab[0] == lab1[0] + lab2[0] and triangle(lab1[2], lab2[2], j)]
+        if not triples:
+            continue
+        per_rho = []
+        for rho in range(block.D):
+            at_j = values(chain_state(lab + (j,), rho), triples, j, j)
+            if j.twice >= 1:
+                below = values(chain_state(lab + (j - 1,), rho), triples, j, j - 1)
+                for lab1, lab2 in triples:
+                    if at_j[(lab1, lab2)] != below[(lab1, lab2)]:
                         raise InternalInconsistency(
-                            "m dependence at %s" % ((lab1, lab2, lab, rho),))
-                    values.append(v)
-                rows.append(row(lab1, lab2, lab, tuple(values)))
+                            "m dependence at %s" % ((lab1, lab2, lab, rho + 1),))
+            per_rho.append(at_j)
+        for lab1, lab2 in triples:
+            rows.append(row(lab1, lab2, lab, tuple(v[(lab1, lab2)] for v in per_rho)))
     rows.sort(key=order)
     return rows

@@ -14,7 +14,7 @@ from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankD
 from .exact import RS_ONE, RS_ZERO, RadicalSum, exact_sign
 from .linalg import ExactMatrix, gram_schmidt, vec_dot
 from .so4 import HALFHALF, So4Irrep, so4_kronecker, so4_phi, so4_triangle, so4_usixj
-from .so5 import generator_rme, so5_branch_so4, so5_kronecker
+from .so5 import generator_rmes, so5_branch_so4, so5_kronecker
 
 CONVENTIONS = {
     "phase": "generalized-condon-shortley",
@@ -66,31 +66,29 @@ def _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp, with_lhs):
     known-zero augmentation rows).  The three kinds of term never share
     a column: the left side carries the product label lam and the
     others carry lamp, and a generator always changes the label it acts
-    on, so lamp != lam and the g1 and g2 terms differ in (X1Y1).
+    on, so lamp != lam and the g1 and g2 terms differ in (X1Y1).  Only
+    the labels one generator step from lam1 and lam2 are visited, in
+    branch order.
     """
     row = {}
     if with_lhs:
-        rme = generator_rme(g, lam, lamp)
-        if not rme.is_zero():
+        rme = generator_rmes(g)[lamp].get(lam)
+        if rme is not None:
             row[colindex[(lam1, lam2, lam)]] = -rme
     phi_l = so4_phi(lam1, lam2, lam)
-    for lam1p in so5_branch_so4(g1):
-        rme1 = generator_rme(g1, lam1, lam1p)
-        if rme1.is_zero():
-            continue
+    rmes1 = generator_rmes(g1)
+    for lam1p in rmes1[lam1]:
         u = so4_usixj(lam2, lam1p, lamp, HALFHALF, lam, lam1)
         if u.is_zero():
             continue
         row[colindex[(lam1p, lam2, lamp)]] = \
-            (phi_l * so4_phi(lam1p, lam2, lamp)) * u * rme1
-    for lam2p in so5_branch_so4(g2):
-        rme2 = generator_rme(g2, lam2, lam2p)
-        if rme2.is_zero():
-            continue
+            (phi_l * so4_phi(lam1p, lam2, lamp)) * u * rmes1[lam1p][lam1]
+    rmes2 = generator_rmes(g2)
+    for lam2p in rmes2[lam2]:
         u = so4_usixj(lam1, lam2p, lamp, HALFHALF, lam, lam2)
         if u.is_zero():
             continue
-        row[colindex[(lam1, lam2p, lamp)]] = u * rme2
+        row[colindex[(lam1, lam2p, lamp)]] = u * rmes2[lam2p][lam2]
     return row or None
 
 

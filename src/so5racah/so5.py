@@ -216,28 +216,46 @@ def so5_kronecker(g1, g2):
 def generator_rme(g, bra, ket):
     """<g bra || T || g ket> for the bitensor generator of type (1/2,1/2).
 
-    Nonzero only when bra - ket is (+-1/2, +-1/2).  The two raising
-    forms are closed-form; the lowering ones follow from the adjoint
-    symmetry.  Raises BranchingViolation if either label is not in the
-    branching of g.
+    Read from generator_rmes(g).  Raises BranchingViolation if either
+    label is not in the branching of g.
     """
-    branch = set(so5_branch_so4(g))
-    if bra not in branch or ket not in branch:
+    table = generator_rmes(g)
+    if bra not in table or ket not in table:
         raise BranchingViolation("(%s or %s) not in branching of %s" % (bra, ket, g))
-    dx = bra.X.twice - ket.X.twice
-    dy = bra.Y.twice - ket.Y.twice
-    if (abs(dx), abs(dy)) != (1, 1):
-        return RAD_ZERO
-    if dx == 1:
-        return _rme_up(g, ket, dy)
-    # adjoint: <bra||T||ket> = hat(ket)/hat(bra) * (-1)^(dX+dY) <ket||T||bra>
-    fwd = _rme_up(g, bra, -dy)
-    if fwd.is_zero():
-        return RAD_ZERO
-    ratio = Fraction((ket.X.twice + 1) * (ket.Y.twice + 1),
-                     (bra.X.twice + 1) * (bra.Y.twice + 1))
-    sign = sign_pow((dx + dy) // 2)
-    return sign * root_of_rational(1, ratio) * fwd
+    return table[ket].get(bra, RAD_ZERO)
+
+
+@lru_cache(maxsize=None)
+def generator_rmes(g):
+    """{ket: {bra: <g bra || T || g ket>}} over the nonzero elements,
+    kets and bras in branch order.  Built once per irrep; callers share
+    the table and must not change it.
+
+    An element is nonzero only when bra - ket is (+-1/2, +-1/2).  The two
+    raising forms are closed-form; the lowering ones follow from the
+    adjoint symmetry, so the nonzero pattern is symmetric and
+    table[lam] also lists the kets that reach the bra lam.
+    """
+    branch = so5_branch_so4(g)
+    table = {}
+    for ket in branch:
+        row = table[ket] = {}
+        for bra in branch:
+            dx = bra.X.twice - ket.X.twice
+            dy = bra.Y.twice - ket.Y.twice
+            if (abs(dx), abs(dy)) != (1, 1):
+                continue
+            if dx == 1:
+                rme = _rme_up(g, ket, dy)
+            else:
+                # <bra||T||ket> = hat(ket)/hat(bra) (-1)^(dX+dY) <ket||T||bra>
+                ratio = Fraction((ket.X.twice + 1) * (ket.Y.twice + 1),
+                                 (bra.X.twice + 1) * (bra.Y.twice + 1))
+                rme = sign_pow((dx + dy) // 2) * root_of_rational(1, ratio) \
+                    * _rme_up(g, bra, -dy)
+            if not rme.is_zero():
+                row[bra] = rme
+    return table
 
 
 def _rme_up(g, ket, dy):

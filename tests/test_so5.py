@@ -8,7 +8,7 @@ from so5racah.exact import RAD_ZERO, Radical, root_of_rational, rs
 from so5racah.halfint import HalfInt, hi
 from so5racah.so4 import So4Irrep
 from so5racah.so5 import SCHEMES, So5Irrep, convert_label, generator_rme, \
-    so5_branch_so4, so5_kronecker
+    generator_rmes, so5_branch_so4, so5_kronecker
 
 H = Fraction(1, 2)
 
@@ -182,6 +182,21 @@ def test_rme_adjoint_symmetry():
                     1, Fraction((ket.X.twice + 1) * (ket.Y.twice + 1),
                                 (bra.X.twice + 1) * (bra.Y.twice + 1)))
                 assert rs(f) == rs(sign) * ratio * r
+
+
+def test_rme_table_is_shared_sparse_and_in_branch_order():
+    # the Racah rows and the generator matrices visit the table in its
+    # order, so it must follow the branching
+    g = So5Irrep(Fraction(3, 2), 1)
+    table = generator_rmes(g)
+    assert generator_rmes(So5Irrep(Fraction(3, 2), 1)) is table
+    branch = so5_branch_so4(g)
+    assert list(table) == branch
+    for ket, row in table.items():
+        assert list(row) == [bra for bra in branch if bra in row]
+        for bra, rme in row.items():
+            assert not rme.is_zero()
+            assert abs(bra.X.twice - ket.X.twice) == 1 == abs(bra.Y.twice - ket.Y.twice)
 
 
 def test_rme_branching_violation():
