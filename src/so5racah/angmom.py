@@ -40,10 +40,6 @@ def chain3_branch(g):
     return out
 
 
-def chain3_mult(g, l):
-    return dict(chain3_branch(g)).get(l, 0)
-
-
 # -- generator matrices ----------------------------------------------------
 
 # sparse matrices of L^(1) and O^(3) over the weight basis, by component
@@ -112,7 +108,7 @@ def chain3_brackets(g):
     and cache_clear() drops it."""
     basis = weight_basis(g)
     entries = ladder(basis, chain3_level, chain3_lowering(g, basis))
-    return BracketSet(g, "angmom", {key[1:]: terms for key, terms in entries.items()})
+    return BracketSet({key[1:]: terms for key, terms in entries.items()})
 
 
 def verify_chain3_brackets(g, bs):

@@ -36,11 +36,9 @@ class BracketSet:
     and hand the same object to every caller.
     """
 
-    __slots__ = ("irrep", "chain", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, irrep, chain, entries):
-        self.irrep = irrep
-        self.chain = chain
+    def __init__(self, entries):
         self.entries = MappingProxyType(entries)
 
     def labels(self):

@@ -6,6 +6,7 @@ error, 3 coupling not in the Kronecker series, 4 store I/O failure.
 
 import functools
 import multiprocessing
+import os
 import sys
 
 import click
@@ -148,13 +149,13 @@ def transform(g1, g2, g, target, fmt, digits, output, store_path):
 def branch(g, chain, ms):
     """Branching content of one irrep in the chosen chain."""
     t = _parse_irrep(g)
+    if ms is not None and chain != "isospin":
+        raise click.UsageError("--ms only applies to --chain isospin")
     if chain == "so4":
         for lam in so5_branch_so4(t):
             click.echo(str(lam))
         return
     if chain == "angmom":
-        if ms is not None:
-            raise click.UsageError("--ms only applies to --chain isospin")
         parts = []
         for l, mu in chain3_branch(t):
             parts.append(str(l) if mu == 1 else "%s^%d" % (l, mu))
@@ -281,10 +282,18 @@ def _verify_payload(payload, checked):
     kind = payload.get("kind")
     if kind != "block" and kind not in _TABLE_CHAINS:
         return ["unknown record kind %r" % kind]
-    irreps = [So5Irrep.parse(payload[slot]) for slot in ("g1", "g2", "g")]
-    if kind == "block":
+    need = ["g1", "g2", "g"] + (["conventions", "columns", "vectors"]
+                                 if kind == "block" else [])
+    missing = [f for f in need if f not in payload]
+    if missing:
+        return ["payload lacks %s" % ", ".join(missing)]
+    try:
+        irreps = [So5Irrep.parse(payload[slot]) for slot in ("g1", "g2", "g")]
+        block = block_from_record(payload) if kind == "block" else None
+    except (TypeError, ValueError) as e:
+        return ["unparseable label or value: %s" % e]
+    if block is not None:
         # one assembly serves the stored block's checks and the fresh solve
-        block = block_from_record(payload)
         system = build_system(*irreps)
         problems = verify_block(block, system)
         fresh = block_record(solve_isoscalars(*irreps, system=system))
@@ -311,6 +320,8 @@ def verify(store_path):
     eigen-relations); every record is also recomputed and compared.
     One line per record; exit 1 if anything fails."""
     st = Store(store_path)
+    if not os.path.exists(st.index_path):
+        raise StoreError("no store at %s: index.json is missing" % store_path)
     keys = st.keys()
     bad = 0
     checked = {}

@@ -152,10 +152,6 @@ class RadicalSum:
     # -- constructors
 
     @staticmethod
-    def zero():
-        return RadicalSum({})
-
-    @staticmethod
     def from_rational(q):
         q = Fraction(q)
         return RadicalSum({1: q} if q else {})
@@ -299,13 +295,6 @@ class RadicalSum:
                 total = +total
         return total
 
-    def sqrt(self):
-        """Square root of a nonnegative *rational* value, as a Radical."""
-        q = self.rational()
-        if q < 0:
-            raise ValueError("negative value %s has no real sqrt here" % q)
-        return root_of_rational(1, q)
-
     def __str__(self):
         return render_value(self)
 
@@ -413,7 +402,7 @@ _TERM_RE = re.compile(
 def parse_value(s):
     """Inverse of render_value; also accepts bare rational terms."""
     pos = 0
-    total = RadicalSum.zero()
+    total = RS_ZERO
     n = len(s)
     first = True
     while pos < n:

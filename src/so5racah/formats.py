@@ -10,20 +10,26 @@ be hashed and diffed.
 import json
 
 from .exact import parse_value, render_value
-from .halfint import HalfInt
-from .isospin import Chain2Row
-from .angmom import Chain3Row
 from .racah import CONVENTIONS, IsoscalarBlock
 from .so4 import So4Irrep
 from .so5 import So5Irrep
 
-CHAIN2_CONVENTIONS = {
-    "seed": "top-positive",
-    "completion": "canonical-so4-ascending",
-}
-CHAIN3_CONVENTIONS = {
-    "alpha": "gram-schmidt-order",
-    "completion": "canonical-so4-mx-ascending",
+# per table record kind: its chain, the convention flags it adds to the
+# canonical ones, and its display columns in order as (header, field,
+# whether the field is a multiplicity index); multiplicity columns are
+# shown only when some multiplicity exceeds 1
+_TABLES = {
+    "chain2-table": (
+        "isospin",
+        {"seed": "top-positive", "completion": "canonical-so4-ascending"},
+        [("MS1", "ms1", False), ("MS2", "ms2", False), ("MS", "ms", False),
+         ("T1", "t1", False), ("T2", "t2", False), ("T", "t", False),
+         ("K1", "k1", True), ("K2", "k2", True), ("K", "k", True)]),
+    "chain3-table": (
+        "angmom",
+        {"alpha": "gram-schmidt-order", "completion": "canonical-so4-mx-ascending"},
+        [("A1", "a1", True), ("L1", "l1", False), ("A2", "a2", True),
+         ("L2", "l2", False), ("A", "a", True), ("L", "l", False)]),
 }
 
 
@@ -58,60 +64,31 @@ def block_from_record(rec):
                           {"conventions": dict(rec["conventions"])})
 
 
-def chain2_record(g1, g2, g, rows):
-    conv = dict(CONVENTIONS)
-    conv.update(CHAIN2_CONVENTIONS)
+def _table_record(kind, g1, g2, g, rows):
+    """Record of a chain table; each row's fields come from its namedtuple,
+    multiplicity indices as ints and labels as strings."""
+    chain, conventions, _ = _TABLES[kind]
+    out = []
+    for r in rows:
+        d = {f: x if isinstance(x, int) else str(x)
+             for f, x in zip(r._fields, r) if f != "values"}
+        d["values"] = [render_value(v) for v in r.values]
+        out.append(d)
     return {
-        "kind": "chain2-table",
-        "chain": "isospin",
+        "kind": kind,
+        "chain": chain,
         "g1": str(g1), "g2": str(g2), "g": str(g),
-        "conventions": conv,
-        "rows": [{
-            "ms1": str(r.ms1), "k1": r.k1, "t1": str(r.t1),
-            "ms2": str(r.ms2), "k2": r.k2, "t2": str(r.t2),
-            "ms": str(r.ms), "k": r.k, "t": str(r.t),
-            "values": [render_value(v) for v in r.values],
-        } for r in rows],
+        "conventions": {**CONVENTIONS, **conventions},
+        "rows": out,
     }
 
 
-def chain2_rows_from_record(rec):
-    out = []
-    for d in rec["rows"]:
-        out.append(Chain2Row(
-            HalfInt.parse(d["ms1"]), d["k1"], HalfInt.parse(d["t1"]),
-            HalfInt.parse(d["ms2"]), d["k2"], HalfInt.parse(d["t2"]),
-            HalfInt.parse(d["ms"]), d["k"], HalfInt.parse(d["t"]),
-            tuple(parse_value(s) for s in d["values"])))
-    return out
+def chain2_record(g1, g2, g, rows):
+    return _table_record("chain2-table", g1, g2, g, rows)
 
 
 def chain3_record(g1, g2, g, rows):
-    conv = dict(CONVENTIONS)
-    conv.update(CHAIN3_CONVENTIONS)
-    return {
-        "kind": "chain3-table",
-        "chain": "angmom",
-        "g1": str(g1), "g2": str(g2), "g": str(g),
-        "conventions": conv,
-        "rows": [{
-            "a1": r.a1, "l1": str(r.l1),
-            "a2": r.a2, "l2": str(r.l2),
-            "a": r.a, "l": str(r.l),
-            "values": [render_value(v) for v in r.values],
-        } for r in rows],
-    }
-
-
-def chain3_rows_from_record(rec):
-    out = []
-    for d in rec["rows"]:
-        out.append(Chain3Row(
-            d["a1"], HalfInt.parse(d["l1"]),
-            d["a2"], HalfInt.parse(d["l2"]),
-            d["a"], HalfInt.parse(d["l"]),
-            tuple(parse_value(s) for s in d["values"])))
-    return out
+    return _table_record("chain3-table", g1, g2, g, rows)
 
 
 # -- rendering -------------------------------------------------------------
@@ -156,20 +133,6 @@ def _block_cells(rec, digits=None, split=False):
     return head, rows
 
 
-# table columns per record kind, in display order: (header, field,
-# whether the field is a multiplicity index); multiplicity columns are
-# shown only when some multiplicity exceeds 1
-_TABLE_COLUMNS = {
-    "chain2-table": [("MS1", "ms1", False), ("MS2", "ms2", False),
-                     ("MS", "ms", False), ("T1", "t1", False),
-                     ("T2", "t2", False), ("T", "t", False),
-                     ("K1", "k1", True), ("K2", "k2", True), ("K", "k", True)],
-    "chain3-table": [("A1", "a1", True), ("L1", "l1", False),
-                     ("A2", "a2", True), ("L2", "l2", False),
-                     ("A", "a", True), ("L", "l", False)],
-}
-
-
 def _table_cells(rec, columns, digits=None):
     with_mult = any(d[f] > 1 for d in rec["rows"] for _, f, mult in columns if mult)
     shown = [(h, f) for h, f, mult in columns if with_mult or not mult]
@@ -186,8 +149,8 @@ def _table_cells(rec, columns, digits=None):
 def _cells(rec, digits=None, split=False):
     if rec["kind"] == "block":
         return _block_cells(rec, digits, split)
-    if rec["kind"] in _TABLE_COLUMNS:
-        return _table_cells(rec, _TABLE_COLUMNS[rec["kind"]], digits)
+    if rec["kind"] in _TABLES:
+        return _table_cells(rec, _TABLES[rec["kind"]][2], digits)
     raise ValueError("unknown record kind %r" % rec.get("kind"))
 
 

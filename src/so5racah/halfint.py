@@ -107,21 +107,8 @@ class HalfInt:
 
     # -- views
 
-    @property
-    def is_integer(self):
-        return self.twice % 2 == 0
-
     def as_fraction(self):
         return Fraction(self.twice, 2)
-
-    def as_int(self):
-        """The value as a plain int; raises if half-odd."""
-        if self.twice % 2:
-            raise ValueError("%s is not an integer" % self)
-        return self.twice // 2
-
-    def __float__(self):
-        return self.twice / 2.0
 
     def __str__(self):
         if self.twice % 2 == 0:
@@ -169,15 +156,3 @@ def sign_pow(n):
     """(-1)**n for integer n (negative n allowed)."""
     return -1 if n % 2 else 1
 
-
-def phase(*js):
-    """(-1)**(j1+j2+...) where the sum must come out integer."""
-    t = sum(HalfInt.make(j).twice for j in js)
-    if t % 2:
-        raise ValueError("phase exponent %s/2 is not an integer" % t)
-    return sign_pow(t // 2)
-
-
-def idim(j):
-    """2j+1 as an int."""
-    return HalfInt.make(j).twice + 1

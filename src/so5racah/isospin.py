@@ -91,8 +91,7 @@ def chain2_brackets(g):
     (M_S, kappa, T, M_T).  Built once per irrep per process; the set is
     shared and read-only, and cache_clear() drops it."""
     basis = weight_basis(g)
-    return BracketSet(g, "isospin",
-                      ladder(basis, chain2_level, chain2_lowering(g, basis)))
+    return BracketSet(ladder(basis, chain2_level, chain2_lowering(g, basis)))
 
 
 def verify_chain2_brackets(g, bs):

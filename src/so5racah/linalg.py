@@ -1,7 +1,8 @@
 """Sparse exact linear algebra for the Racah system.
 
 Only what the coupling engine needs: reduced row echelon form, rank,
-null spaces, and Gram-Schmidt under a caller-supplied symmetric form.
+null spaces, and Gram-Schmidt under a dot product restricted to a set of
+positions.
 
 A matrix is a list of sparse rows {column: Radical}: each nonzero entry
 of a Racah relation matrix is a single radical (one generator reduced
@@ -16,7 +17,7 @@ form raises NotFactorable.
 from fractions import Fraction
 
 from .errors import DegenerateForm, NotFactorable
-from .exact import RS_ONE, RS_ZERO, Radical, RadicalSum, root_of_rational
+from .exact import RS_ONE, RS_ZERO, Radical, root_of_rational
 
 
 class ExactMatrix:
@@ -153,35 +154,32 @@ def vec_dot(u, v):
     return out
 
 
-def form_dot(u, v, form):
-    """<u, v> under the symmetric bilinear form (a list of rows or None)."""
-    if form is None:
-        return vec_dot(u, v)
-    return vec_dot(u, [vec_dot(row, v) for row in form])
-
-
-def gram_schmidt(vectors, form=None):
-    """Orthonormalize under the given form, preserving the span.
+def gram_schmidt(vectors, idxs):
+    """Orthonormalize under <u, v> = sum over i in idxs of u[i] v[i],
+    preserving the span.
 
     The first output is a positive multiple of the first input, so the
     input's sign survives.  Squared norms must come out as positive
     rationals (they do for the inner products arising here); otherwise
     DegenerateForm is raised.
     """
+    def dot(u, v):
+        return vec_dot([u[i] for i in idxs], [v[i] for i in idxs])
+
     out = []
     for v in vectors:
         u = list(v)
         for w in out:
-            ov = form_dot(w, v, form)
+            ov = dot(w, v)
             if not ov.is_zero():
                 u = [a - ov * b for a, b in zip(u, w)]
-        n2 = form_dot(u, u, form)
+        n2 = dot(u, u)
         try:
             q = n2.rational()
         except ValueError:
             raise DegenerateForm("irrational squared norm %s" % n2) from None
         if q <= 0:
             raise DegenerateForm("squared norm %s is not positive" % q)
-        inv_norm = RadicalSum.zero() + root_of_rational(Fraction(1), Fraction(1) / q)
+        inv_norm = root_of_rational(Fraction(1), Fraction(1) / q).as_sum()
         out.append([x * inv_norm for x in u])
     return out

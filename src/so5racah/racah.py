@@ -11,9 +11,9 @@ conventions pin the coefficient vectors.
 """
 
 from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankDefect
-from .exact import RS_ONE, RS_ZERO, RadicalSum, exact_sign
+from .exact import RS_ZERO, RadicalSum, exact_sign
 from .linalg import ExactMatrix, gram_schmidt, vec_dot
-from .so4 import HALFHALF, So4Irrep, so4_kronecker, so4_phi, so4_triangle, so4_usixj
+from .so4 import HALFHALF, so4_kronecker, so4_phi, so4_triangle, so4_usixj
 from .so5 import generator_rmes, so5_branch_so4, so5_kronecker
 
 CONVENTIONS = {
@@ -49,10 +49,7 @@ def enumerate_columns(g1, g2, g):
 class RacahSystem:
     """Assembled system matrix with its labels."""
 
-    def __init__(self, g1, g2, g, columns, matrix, row_labels, n_augmented):
-        self.g1 = g1
-        self.g2 = g2
-        self.g = g
+    def __init__(self, columns, matrix, row_labels, n_augmented):
         self.columns = columns
         self.matrix = matrix
         self.row_labels = row_labels
@@ -119,10 +116,8 @@ def build_system(g1, g2, g):
     branch(g) are appended, one candidate label at a time in canonical
     order, until the nullity matches.
     """
+    columns = enumerate_columns(g1, g2, g)  # raises NotInSeries
     D = outer_multiplicity(g1, g2, g)
-    if D == 0:
-        raise NotInSeries("%s not in %s x %s" % (g, g1, g2))
-    columns = enumerate_columns(g1, g2, g)
     colindex = {c: i for i, c in enumerate(columns)}
     ncols = len(columns)
     branch_g = so5_branch_so4(g)
@@ -147,7 +142,7 @@ def build_system(g1, g2, g):
         raise RankDefect(
             "%s x %s -> %s: rank %d, want %d (N=%d, D=%d)"
             % (g1, g2, g, matrix.rank(), ncols - D, ncols, D))
-    return RacahSystem(g1, g2, g, columns, matrix, [lab for lab, _ in rels],
+    return RacahSystem(columns, matrix, [lab for lab, _ in rels],
                        len(rels) - n_normal)
 
 
@@ -194,13 +189,12 @@ def _sign_positions(columns):
     consistent (X2Y2); the remaining positions follow in descending
     weight order as the documented tie-break extension.
     """
-    order = sorted(
+    return sorted(
         range(len(columns)),
         key=lambda i: (columns[i][0].weight_key(),
                        columns[i][2].weight_key(),
                        columns[i][1].weight_key()),
         reverse=True)
-    return order
 
 
 def solve_isoscalars(g1, g2, g, system=None):
@@ -214,22 +208,18 @@ def solve_isoscalars(g1, g2, g, system=None):
     columns = system.columns
     basis = system.matrix.nullspace()
     D = len(basis)
-    groups = _group_slices(columns)
 
     meta = dict(CONVENTIONS)
     meta["augmented_rows"] = system.n_augmented
     meta["sign_fallback"] = False
 
-    first = None
-    for idxs in groups.values():
-        m = _group_gram(basis, idxs)
-        if first is None:
-            first = m
-        elif m != first:
-            raise NormInconsistency("M differs between groups")
-    unit = [[RS_ONE if r == c else RS_ZERO for c in range(D)] for r in range(D)]
-    combos = gram_schmidt(unit, form=first)
-    vectors = [[vec_dot(a, col) for col in zip(*basis)] for a in combos]
+    # every label group must see the same Gram matrix M; orthonormalizing
+    # under one group's positions then normalizes them all
+    idxs, *rest = _group_slices(columns).values()
+    first = _group_gram(basis, idxs)
+    if any(_group_gram(basis, other) != first for other in rest):
+        raise NormInconsistency("M differs between groups")
+    vectors = gram_schmidt(basis, idxs)
     meta["m_matrix"] = first
     if D == 1:
         meta["norm2"] = first[0][0].rational()
@@ -256,8 +246,9 @@ def verify_block(block, system=None):
     fails = []
     if system is None:
         system = build_system(block.g1, block.g2, block.g)
-    if [tuple(c) for c in system.columns] != [tuple(c) for c in block.columns]:
-        fails.append("column order mismatch")
+    if [tuple(c) for c in system.columns] != [tuple(c) for c in block.columns] \
+            or any(len(v) != len(block.columns) for v in block.vectors):
+        fails.append("column order or vector length mismatch")
         return fails
     for rho, v in enumerate(block.vectors, start=1):
         for k, resid in enumerate(system.matrix.matvec(v)):

@@ -15,8 +15,8 @@ Two total orders matter and they differ:
 import re
 from functools import total_ordering
 
-from .halfint import HalfInt, mrange, sign_pow, triangle, trirange
-from .su2 import su2_cg, su2_usixj
+from .halfint import HalfInt, mrange, triangle, trirange
+from .su2 import su2_cg, su2_phi, su2_usixj
 
 
 @total_ordering
@@ -97,8 +97,4 @@ def so4_usixj(g1, g2, g12, g3, g, g23):
 
 def so4_phi(g1, g2, g):
     """Interchange phase of the SO(4) coupling g1 x g2 -> g."""
-    tx = g1.X.twice + g2.X.twice - g.X.twice
-    ty = g1.Y.twice + g2.Y.twice - g.Y.twice
-    if tx % 2 or ty % 2:
-        raise ValueError("phase exponent is not an integer")
-    return sign_pow(tx // 2) * sign_pow(ty // 2)
+    return su2_phi(g1.X, g2.X, g.X) * su2_phi(g1.Y, g2.Y, g.Y)

@@ -15,7 +15,7 @@ from functools import lru_cache, total_ordering
 from .errors import BranchingViolation, InternalInconsistency, OutOfRange
 from .exact import RAD_ZERO, root_of_rational
 from .halfint import HalfInt, sign_pow
-from .so4 import HALFHALF, So4Irrep, so4_kronecker
+from .so4 import So4Irrep, so4_kronecker
 
 
 @total_ordering

@@ -128,11 +128,14 @@ class Store:
         problems = []
         h = self.hash_for(key)
         record = self.read_record_file(h)
-        payload = record.get("payload")
+        if not isinstance(record, dict) or not isinstance(record.get("payload"), dict):
+            return None, ["record is not an object with an object payload"]
+        payload = record["payload"]
         actual = payload_hash(payload)
         if actual != h:
             problems.append("content hash %s does not match index entry %s"
                             % (actual[:12], h[:12]))
-        if record.get("meta", {}).get("hash") != actual:
+        meta = record.get("meta")
+        if not isinstance(meta, dict) or meta.get("hash") != actual:
             problems.append("stored meta hash does not match payload")
         return payload, problems

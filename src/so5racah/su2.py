@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import RAD_ZERO, Radical, root_of_rational
+from .exact import RAD_ZERO, root_of_rational
 from .halfint import HalfInt, sign_pow
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from so5racah.cli import main
@@ -87,6 +88,13 @@ def test_branch_isospin_ms_filter():
     assert r.output.strip() == "MS=2: T = 1^2, 2^2, 3^2, 4, 5"
 
 
+@pytest.mark.parametrize("chain", ["so4", "angmom"])
+def test_branch_ms_needs_isospin(chain):
+    r = run("branch", "--g", "(1,0)", "--chain", chain, "--ms", "1")
+    assert r.exit_code == 2
+    assert "--ms only applies to --chain isospin" in r.output
+
+
 def test_branch_angmom():
     r = run("branch", "--g", "(1,0)", "--chain", "angmom")
     assert r.output.strip() == "L = 1, 3"
@@ -120,6 +128,63 @@ def test_exit_code_store_error(tmp_path):
     (tmp_path / "index.json").write_text("not json at all {")
     r = run("verify", "--store", str(tmp_path))
     assert r.exit_code == 4
+
+
+def test_verify_without_store_is_an_error(tmp_path):
+    # a mistyped store path must not pass as an empty store
+    r = run("verify", "--store", str(tmp_path / "no-such-store"))
+    assert r.exit_code == 4
+    assert "index.json" in r.output
+    assert not os.path.exists(tmp_path / "no-such-store")
+
+
+def _drop_g1(payload):
+    del payload["g1"]
+
+
+def _bad_g1(payload):
+    payload["g1"] = "(1/3,0)"
+
+
+def _short_vector(payload):
+    payload["vectors"][0].pop()
+
+
+@pytest.mark.parametrize("chain, edit", [
+    ("isospin", None),
+    ("isospin", _drop_g1),
+    ("isospin", _bad_g1),
+    ("so4", _drop_g1),
+    ("so4", _bad_g1),
+    ("so4", _short_vector),
+], ids=["not-an-object", "isospin-no-g1", "isospin-bad-g1", "so4-no-g1",
+        "so4-bad-g1", "so4-short-vector"])
+def test_verify_reports_malformed_record(tmp_path, chain, edit):
+    # a hand-edited record is reported as one FAIL line, and the other
+    # record is still checked
+    store = str(tmp_path / "st")
+    for c in ("so4", "isospin"):
+        r = run("couple", "--chain", c, "--g1", "(1/2,0)", "--g2", "(1/2,0)",
+                "--g", "(0,0)", "--store", store)
+        assert r.exit_code == 0
+    st = Store(store)
+    key = "%s|(1/2,0) x (1/2,0) -> (0,0)" % chain
+    if edit is None:
+        with open(st.record_path(st.hash_for(key)), "w") as f:
+            f.write("[]")
+    else:
+        # honestly re-hashed, so only the shape checks can catch it
+        payload = st.read_record(key)["payload"]
+        edit(payload)
+        st.write_record(key, payload)
+        st.flush_index()
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1, v.output
+    assert v.exception is None or isinstance(v.exception, SystemExit)
+    lines = v.output.splitlines()
+    assert "FAIL %s" % key in lines
+    assert sum(l.startswith("ok   ") for l in lines) == 1
+    assert lines[-1] == "2 records checked, 1 failed"
 
 
 def test_store_cache_and_reuse(tmp_path):

@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from so5racah.angmom import chain3_transform
 from so5racah.formats import block_from_record, block_record, canonical_json, \
-    chain2_record, chain2_rows_from_record, chain3_record, \
-    chain3_rows_from_record, render_record
+    chain2_record, render_record
 from so5racah.isospin import chain2_transform
 from so5racah.racah import solve_isoscalars, verify_block
 from so5racah.so5 import So5Irrep
@@ -39,18 +37,6 @@ def test_block_record_round_trip(block):
     assert back.columns == block.columns
     assert back.vectors == block.vectors
     assert verify_block(back) == []
-
-
-def test_chain_records_round_trip(big_block):
-    rows2 = chain2_transform(big_block)
-    rec = chain2_record(big_block.g1, big_block.g2, big_block.g, rows2)
-    back = chain2_rows_from_record(json.loads(canonical_json(rec)))
-    assert back == rows2
-
-    rows3 = chain3_transform(big_block)
-    rec3 = chain3_record(big_block.g1, big_block.g2, big_block.g, rows3)
-    back3 = chain3_rows_from_record(json.loads(canonical_json(rec3)))
-    assert back3 == rows3
 
 
 def test_text_render(block):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from so5racah.halfint import HalfInt, hi, idim, jrange, mrange, phase, \
-    sign_pow, triangle, trirange
+from so5racah.halfint import HalfInt, hi, jrange, mrange, sign_pow, triangle, \
+    trirange
 
 
 def test_construction_takes_doubled_value():
@@ -48,13 +48,7 @@ def test_hash_agrees_with_fraction():
 
 
 def test_views():
-    assert hi(2).as_int() == 2
-    with pytest.raises(ValueError):
-        hi(Fraction(1, 2)).as_int()
     assert hi(Fraction(1, 2)).as_fraction() == Fraction(1, 2)
-    assert float(hi(Fraction(3, 2))) == 1.5
-    assert not hi(Fraction(1, 2)).is_integer
-    assert hi(3).is_integer
 
 
 def test_ranges():
@@ -74,9 +68,3 @@ def test_triangle():
 
 def test_phase_and_dim():
     assert sign_pow(-3) == -1
-    assert phase(1, 2) == -1
-    assert phase(Fraction(1, 2), Fraction(3, 2)) == 1
-    with pytest.raises(ValueError):
-        phase(Fraction(1, 2))
-    assert idim(Fraction(3, 2)) == 4
-    assert idim(2) == 5

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from so5racah.errors import DegenerateForm, NotFactorable
 from so5racah.exact import RS_ONE, RS_ZERO, Radical, RadicalSum, canonicalize, rs
 from so5racah.halfint import HalfInt
-from so5racah.linalg import ExactMatrix, form_dot, gram_schmidt, vec_dot
+from so5racah.linalg import ExactMatrix, gram_schmidt, vec_dot
 from so5racah.racah import build_system
 from so5racah.so5 import So5Irrep, so5_kronecker
 
@@ -179,7 +179,7 @@ def test_not_factorable():
 
 def test_gram_schmidt_plain():
     vecs = [[F(1), F(1), F(0)], [F(1), F(0), F(0)]]
-    out = gram_schmidt(vecs)
+    out = gram_schmidt(vecs, range(3))
     assert vec_dot(out[0], out[1]).is_zero()
     for v in out:
         assert vec_dot(v, v) == RS_ONE
@@ -187,17 +187,23 @@ def test_gram_schmidt_plain():
     assert str(out[0][0]) == "sqrt(1/2)"
 
 
-def test_gram_schmidt_with_form():
-    form = [[F(2), F(0)], [F(0), F(3)]]
-    out = gram_schmidt([[F(1), F(1)], [F(0), F(1)]], form)
-    assert form_dot(out[0], out[1], form).is_zero()
-    assert form_dot(out[0], out[0], form) == RS_ONE
-    assert form_dot(out[1], out[1], form) == RS_ONE
+def test_gram_schmidt_on_positions():
+    # the dot product sums over positions 0 and 2; position 1 is carried
+    # along with the span
+    idxs = [0, 2]
+    out = gram_schmidt([[F(1), F(5), F(1)], [F(0), F(7), F(1)]], idxs)
+
+    def dot(u, v):
+        return vec_dot([u[i] for i in idxs], [v[i] for i in idxs])
+
+    assert dot(out[0], out[1]).is_zero()
+    assert dot(out[0], out[0]) == dot(out[1], out[1]) == RS_ONE
+    assert [str(x) for x in out[1]] == ["-sqrt(1/2)", "sqrt(81/2)", "sqrt(1/2)"]
 
 
 def test_gram_schmidt_degenerate():
     with pytest.raises(DegenerateForm):
-        gram_schmidt([[F(1), F(1)], [F(2), F(2)]])
-    indef = [[F(1), F(0)], [F(0), F(-1)]]
+        gram_schmidt([[F(1), F(1)], [F(2), F(2)]], range(2))
+    # nonzero, but zero on every position of the dot product
     with pytest.raises(DegenerateForm):
-        gram_schmidt([[F(1), F(1)]], indef)
+        gram_schmidt([[F(0), F(1)]], [0])
