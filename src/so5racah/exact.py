@@ -10,13 +10,22 @@ radical only: the linear algebra eliminates over the rationals (see
 Two value types:
 
 ``Radical``
-    a single term c*sqrt(r), with c rational and r squarefree >= 1.
-    This is what SU(2) coupling coefficients and 6j symbols are.
+    a single term (num/den)*sqrt(rad).  This is what SU(2) coupling
+    coefficients and 6j symbols are.
 
 ``RadicalSum``
-    a dict {squarefree radicand: nonzero rational coefficient}.
-    Empty dict means zero.  This is what matrix entries and normalized
-    coupling coefficients are.
+    ``pairs``, a dict {squarefree radicand: (num, den)} with no zero
+    term.  Empty dict means zero.  This is what matrix entries and
+    normalized coupling coefficients are.
+
+Coefficients are stored as reduced pairs of plain ints: den > 0 and
+gcd(num, den) = 1, a zero Radical being (0, 1, 1), and every radicand
+squarefree >= 1.  The arithmetic reduces each pair with math.gcd where
+it is made, so no Fraction is built per field operation and equal
+values have equal stores and hash alike.  Fractions appear only at the
+boundary: ``Radical.coeff``, the read-only ``RadicalSum.terms`` view
+{rad: Fraction}, ``rational()``, ``square()``, ``exact_sign`` and
+``decimal``; constructors and scalar operands take ints or Fractions.
 
 The canonical text form renders a term as a signed square root of a
 single rational, e.g. -(2/5)*sqrt(5) prints as ``-sqrt(4/5)``, and
@@ -28,6 +37,7 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
+from types import MappingProxyType
 
 
 def _square_split(n):
@@ -53,43 +63,82 @@ def _square_split(n):
     return sq, rad * n
 
 
-class Radical:
-    """c * sqrt(rad) with rad squarefree; zero is (0, 1)."""
+def _pair(q):
+    """Reduced (num, den) of an int or Fraction; None for other types."""
+    if isinstance(q, int):
+        return q, 1
+    if isinstance(q, Fraction):
+        return q.numerator, q.denominator
+    return None
 
-    __slots__ = ("coeff", "rad")
+
+def _rational_pair(q):
+    """(num, den) of any value Fraction accepts."""
+    return _pair(q) or _pair(Fraction(q))
+
+
+_new = object.__new__
+
+
+def _radical(num, den, rad):
+    """Radical from a reduced pair and a squarefree radicand."""
+    x = _new(Radical)
+    x.num = num
+    x.den = den
+    x.rad = rad
+    return x
+
+
+class Radical:
+    """(num/den) * sqrt(rad) with rad squarefree; zero is (0, 1, 1)."""
+
+    __slots__ = ("num", "den", "rad")
 
     def __init__(self, coeff, rad):
         # Assumes canonical input; use canonicalize() on raw data.
-        self.coeff = coeff
+        self.num, self.den = _rational_pair(coeff)
         self.rad = rad
 
+    @property
+    def coeff(self):
+        return Fraction(self.num, self.den)
+
     def is_zero(self):
-        return self.coeff == 0
+        return self.num == 0
 
     def __mul__(self, other):
         if isinstance(other, Radical):
-            # sqrt(a)*sqrt(b) = d*sqrt((a/d)(b/d)) with d = gcd(a,b);
+            # sqrt(a)*sqrt(b) = g*sqrt((a/g)(b/g)) with g = gcd(a,b);
             # for squarefree a, b the remaining radicand is squarefree,
             # so no re-factorization is needed.
-            d = gcd(self.rad, other.rad)
-            return Radical(self.coeff * other.coeff * d,
-                           (self.rad // d) * (other.rad // d))
-        if isinstance(other, (int, Fraction)):
-            return Radical(self.coeff * other, self.rad) if other else Radical(Fraction(0), 1)
-        return NotImplemented
+            g = gcd(self.rad, other.rad)
+            n, d = other.num * g, other.den
+            r = (self.rad // g) * (other.rad // g)
+        else:
+            p = _pair(other)
+            if p is None:
+                return NotImplemented
+            (n, d), r = p, self.rad
+        n *= self.num
+        if not n:
+            return RAD_ZERO
+        d *= self.den
+        k = gcd(n, d)
+        return _radical(n // k, d // k, r)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Radical(-self.coeff, self.rad)
+        return _radical(-self.num, self.den, self.rad)
 
     def __eq__(self, other):
         if isinstance(other, Radical):
-            return self.coeff == other.coeff and (self.coeff == 0 or self.rad == other.rad)
+            return (self.num == other.num and self.den == other.den
+                    and (self.num == 0 or self.rad == other.rad))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeff, self.rad if self.coeff else 1))
+        return hash((self.num, self.den, self.rad if self.num else 1))
 
     def square(self):
         """The exact rational value of this radical squared, signed.
@@ -97,23 +146,34 @@ class Radical:
         Returns coeff**2 * rad with the sign of coeff, so the canonical
         text form is recoverable: value = sign * sqrt(|square|).
         """
-        q = self.coeff * self.coeff * self.rad
-        return -q if self.coeff < 0 else q
+        return Fraction(self.num * abs(self.num) * self.rad, self.den * self.den)
 
     def as_sum(self):
-        if self.coeff == 0:
+        if not self.num:
             return RadicalSum({})
-        return RadicalSum({self.rad: self.coeff})
+        return RadicalSum({self.rad: (self.num, self.den)})
 
     def __str__(self):
-        return _render_term(self.coeff, self.rad)
+        return _render_term(self.num, self.den, self.rad)
 
     def __repr__(self):
         return "Radical(%s)" % self
 
 
-RAD_ZERO = Radical(Fraction(0), 1)
-RAD_ONE = Radical(Fraction(1), 1)
+RAD_ZERO = _radical(0, 1, 1)
+RAD_ONE = _radical(1, 1, 1)
+
+
+def _canonical(num, den, r):
+    """Canonical Radical for (num/den)*sqrt(r), den > 0, r >= 0."""
+    if r < 0:
+        raise ValueError("negative radicand %s" % r)
+    if r == 0 or num == 0:
+        return RAD_ZERO
+    sq, rad = _square_split(r)
+    num *= sq
+    k = gcd(num, den)
+    return _radical(num // k, den // k, rad)
 
 
 def canonicalize(c, r):
@@ -123,71 +183,83 @@ def canonicalize(c, r):
     canonicalize(1, 45) = 3*sqrt(5).  See root_of_rational for the
     rational-radicand front end.
     """
-    if r < 0:
-        raise ValueError("negative radicand %s" % r)
-    c = Fraction(c)
-    if r == 0 or c == 0:
-        return Radical(Fraction(0), 1)
-    sq, rad = _square_split(r)
-    return Radical(c * sq, rad)
+    num, den = _rational_pair(c)
+    return _canonical(num, den, r)
 
 
 def root_of_rational(c, q):
     """Canonical Radical for c*sqrt(q) with q rational >= 0."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand %s" % q)
-    return canonicalize(Fraction(c) / q.denominator, q.numerator * q.denominator)
+    qn, qd = _rational_pair(q)
+    if qn < 0:
+        raise ValueError("negative radicand %s" % Fraction(qn, qd))
+    # c*sqrt(qn/qd) = (c/qd)*sqrt(qn*qd)
+    num, den = _rational_pair(c)
+    return _canonical(num, den * qd, qn * qd)
+
+
+def _add_term(out, r, n, d):
+    """Add (n/d)*sqrt(r) into the pair dict out, keeping it canonical."""
+    prev = out.get(r)
+    if prev is not None:
+        pn, pd = prev
+        if pd == d:
+            n += pn
+        else:
+            n = n * pd + pn * d
+            d *= pd
+        if not n:
+            del out[r]
+            return
+    k = gcd(n, d)
+    out[r] = (n // k, d // k)
 
 
 class RadicalSum:
     """Finite sum of rationals times square roots of squarefree ints."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("pairs",)
 
-    def __init__(self, terms):
-        # terms: dict {rad: Fraction}, already canonical, no zero values
-        self.terms = terms
+    def __init__(self, pairs):
+        # pairs: dict {rad: (num, den)}, already canonical, no zero terms
+        self.pairs = pairs
 
     # -- constructors
 
     @staticmethod
     def from_rational(q):
-        q = Fraction(q)
-        return RadicalSum({1: q} if q else {})
+        num, den = _rational_pair(q)
+        return RadicalSum({1: (num, den)} if num else {})
 
     @staticmethod
     def of(*radicals):
         out = {}
         for x in radicals:
-            if isinstance(x, (int, Fraction)):
-                x = Radical(Fraction(x), 1)
-            if x.coeff:
-                c = out.get(x.rad, 0) + x.coeff
-                if c:
-                    out[x.rad] = c
-                else:
-                    del out[x.rad]
+            if not isinstance(x, Radical):
+                x = Radical(x, 1)
+            if x.num:
+                _add_term(out, x.rad, x.num, x.den)
         return RadicalSum(out)
 
     # -- predicates and views
 
+    @property
+    def terms(self):
+        """Read-only view {rad: Fraction coefficient}."""
+        return MappingProxyType({r: Fraction(n, d) for r, (n, d) in self.pairs.items()})
+
     def is_zero(self):
-        return not self.terms
+        return not self.pairs
 
     def is_rational(self):
-        return all(r == 1 for r in self.terms)
+        return all(r == 1 for r in self.pairs)
 
     def rational(self):
         """The value as a Fraction; raises ValueError if irrational."""
-        if not self.terms:
+        if not self.pairs:
             return Fraction(0)
-        if len(self.terms) == 1 and 1 in self.terms:
-            return self.terms[1]
+        if len(self.pairs) == 1 and 1 in self.pairs:
+            return Fraction(*self.pairs[1])
         raise ValueError("%s is not rational" % self)
-
-    def _key(self):
-        return tuple(sorted(self.terms.items()))
 
     # -- ring operations
 
@@ -195,15 +267,11 @@ class RadicalSum:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other.terms:
+        if not other.pairs:
             return self
-        out = dict(self.terms)
-        for r, c in other.terms.items():
-            s = out.get(r, 0) + c
-            if s:
-                out[r] = s
-            else:
-                del out[r]
+        out = dict(self.pairs)
+        for r, (n, d) in other.pairs.items():
+            _add_term(out, r, n, d)
         return RadicalSum(out)
 
     __radd__ = __add__
@@ -221,33 +289,24 @@ class RadicalSum:
         return other + (-self)
 
     def __neg__(self):
-        return RadicalSum({r: -c for r, c in self.terms.items()})
+        return RadicalSum({r: (-n, d) for r, (n, d) in self.pairs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RadicalSum({})
-            return RadicalSum({r: c * other for r, c in self.terms.items()})
-        if isinstance(other, Radical):
-            other = other.as_sum()
-        if not isinstance(other, RadicalSum):
-            return NotImplemented
+        if isinstance(other, RadicalSum):
+            factors = other.pairs.items()
+        elif isinstance(other, Radical):
+            factors = ((other.rad, (other.num, other.den)),) if other.num else ()
+        else:
+            p = _pair(other)
+            if p is None:
+                return NotImplemented
+            factors = ((1, p),) if p[0] else ()
         out = {}
-        for ra, ca in self.terms.items():
-            for rb, cb in other.terms.items():
-                # sqrt(ra)*sqrt(rb) = d*sqrt((ra/d)(rb/d)), d = gcd(ra, rb)
-                d = gcd(ra, rb)
-                r = (ra // d) * (rb // d)
-                c = ca * cb * d
-                prev = out.get(r)
-                if prev is None:
-                    out[r] = c
-                    continue
-                c += prev
-                if c:
-                    out[r] = c
-                else:
-                    del out[r]
+        for ra, (na, da) in self.pairs.items():
+            for rb, (nb, db) in factors:
+                # sqrt(ra)*sqrt(rb) = g*sqrt((ra/g)(rb/g)), g = gcd(ra, rb)
+                g = gcd(ra, rb)
+                _add_term(out, (ra // g) * (rb // g), na * nb * g, da * db)
         return RadicalSum(out)
 
     __rmul__ = __mul__
@@ -256,23 +315,24 @@ class RadicalSum:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if len(other.terms) > 1:
+        if len(other.pairs) > 1:
             raise ValueError("division by the sum of radicals %s is not supported"
                              % other)
-        if not other.terms:
+        if not other.pairs:
             raise ZeroDivisionError("division by zero")
-        # x / (c*sqrt(r)) = x * sqrt(r) / (c*r); r = 1 for a rational
-        (r, c), = other.terms.items()
-        return self * RadicalSum({r: 1 / (c * r)})
+        # x / ((n/d)*sqrt(r)) = x * (d/(n*r))*sqrt(r); r = 1 for a
+        # rational.  The product reduces the pair.
+        (r, (n, d)), = other.pairs.items()
+        return self * RadicalSum({r: (d, n * r) if n > 0 else (-d, -n * r)})
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(sorted(self.pairs.items())))
 
     # -- numeric views
 
@@ -287,9 +347,8 @@ class RadicalSum:
         with localcontext() as ctx:
             ctx.prec = digits + 12
             total = Decimal(0)
-            for r, c in sorted(self.terms.items()):
-                total += (Decimal(c.numerator) / Decimal(c.denominator)
-                          * Decimal(r).sqrt())
+            for r, (n, d) in sorted(self.pairs.items()):
+                total += Decimal(n) / Decimal(d) * Decimal(r).sqrt()
             with localcontext() as out:
                 out.prec = digits
                 total = +total
@@ -303,7 +362,7 @@ class RadicalSum:
 
 
 RS_ZERO = RadicalSum({})
-RS_ONE = RadicalSum({1: Fraction(1)})
+RS_ONE = RadicalSum({1: (1, 1)})
 
 
 def _coerce(x):
@@ -311,9 +370,10 @@ def _coerce(x):
         return x
     if isinstance(x, Radical):
         return x.as_sum()
-    if isinstance(x, (int, Fraction)):
-        return RadicalSum.from_rational(x)
-    return None
+    p = _pair(x)
+    if p is None:
+        return None
+    return RadicalSum({1: p} if p[0] else {})
 
 
 def rs(x):
@@ -332,9 +392,9 @@ def exact_sign(x):
     always terminates.
     """
     x = rs(x)
-    if not x.terms:
+    if not x.pairs:
         return 0
-    negs = [c < 0 for c in x.terms.values()]
+    negs = [n < 0 for n, _ in x.pairs.values()]
     if all(negs):
         return -1
     if not any(negs):
@@ -361,15 +421,18 @@ def exact_sign(x):
 
 # -- canonical text form ---------------------------------------------------
 
-def _render_term(coeff, rad):
+def _render_term(num, den, rad):
     """Signed sqrt-of-rational form: -(2/5)*sqrt(5) -> "-sqrt(4/5)"."""
-    if coeff == 0:
+    if num == 0:
         return "sqrt(0)"
-    q = coeff * coeff * rad
-    sign = "-" if coeff < 0 else ""
-    if q.denominator == 1:
-        return "%ssqrt(%d)" % (sign, q.numerator)
-    return "%ssqrt(%d/%d)" % (sign, q.numerator, q.denominator)
+    # gcd(num, den) = 1, so num**2*rad/den**2 reduces by gcd(rad, den**2)
+    qn = num * num * rad
+    qd = den * den
+    k = gcd(rad, qd)
+    sign = "-" if num < 0 else ""
+    if qd == k:
+        return "%ssqrt(%d)" % (sign, qn // k)
+    return "%ssqrt(%d/%d)" % (sign, qn // k, qd // k)
 
 
 def render_value(x):
@@ -377,15 +440,15 @@ def render_value(x):
     if isinstance(x, Radical):
         x = x.as_sum()
     x = rs(x)
-    if not x.terms:
+    if not x.pairs:
         return "sqrt(0)"
     parts = []
-    for r, c in sorted(x.terms.items()):
-        t = _render_term(abs(c), r)
+    for r, (n, d) in sorted(x.pairs.items()):
+        t = _render_term(abs(n), d, r)
         if not parts:
-            parts.append(("-" if c < 0 else "") + t)
+            parts.append(("-" if n < 0 else "") + t)
         else:
-            parts.append(("- " if c < 0 else "+ ") + t)
+            parts.append(("- " if n < 0 else "+ ") + t)
     return " ".join(parts)
 
 
@@ -412,14 +475,16 @@ def parse_value(s):
         sign = -1 if m.group("sign") == "-" else 1
         if not first and m.group("sign") is None:
             raise ValueError("missing sign between terms in %r" % s)
-        if m.group("num") is not None:
-            num = int(m.group("num"))
-            den = int(m.group("den") or 1)
-            term = root_of_rational(sign, Fraction(num, den))
+        root = m.group("num") is not None
+        num = int(m.group("num" if root else "rnum"))
+        den = int(m.group("den" if root else "rden") or 1)
+        if not den:
+            raise ZeroDivisionError("zero denominator in %r" % s)
+        if root:
+            # sign*sqrt(num/den) = (sign/den)*sqrt(num*den)
+            term = _canonical(sign, den, num * den)
         else:
-            num = int(m.group("rnum"))
-            den = int(m.group("rden") or 1)
-            term = Radical(Fraction(sign * num, den), 1)
+            term = _canonical(sign * num, den, 1)
         total = total + term
         pos = m.end()
         first = False

@@ -32,6 +32,22 @@ def payload_hash(payload):
     return hashlib.sha256(canonical_json(payload)).hexdigest()
 
 
+def _index_records(data, path):
+    """The key -> hash map of a loaded index; StoreError unless the
+    index is an object of the current schema whose records map str to
+    str."""
+    if not isinstance(data, dict):
+        raise StoreError("index %s is not a JSON object" % path)
+    if data.get("schema") != INDEX_SCHEMA:
+        raise StoreError("unexpected index schema %r" % data.get("schema"))
+    records = data.get("records")
+    if not isinstance(records, dict) or not all(
+            isinstance(k, str) and isinstance(h, str) for k, h in records.items()):
+        raise StoreError("index %s: records is not an object of key -> hash "
+                         "strings" % path)
+    return records
+
+
 class Store:
     def __init__(self, root):
         self.root = root
@@ -50,10 +66,7 @@ class Store:
                 except (OSError, ValueError) as e:
                     raise StoreError("cannot read index %s: %s"
                                      % (self.index_path, e))
-                if data.get("schema") != INDEX_SCHEMA:
-                    raise StoreError("unexpected index schema %r"
-                                     % data.get("schema"))
-                self._index = data["records"]
+                self._index = _index_records(data, self.index_path)
             else:
                 self._index = {}
         return self._index

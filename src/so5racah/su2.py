@@ -110,15 +110,8 @@ def su2_sixj(j1, j2, j3, j4, j5, j6):
     return _sixj_t(*(HalfInt.make(j).twice for j in (j1, j2, j3, j4, j5, j6)))
 
 
-def su2_usixj(j1, j2, j12, j3, j, j23):
-    """Unitary recoupling symbol U(j1 j2 j j3; j12 j23).
-
-    <(j1 j2)j12, j3; j | j1, (j2 j3)j23; j>, i.e. the orthogonal
-    change of coupling order, related to the 6j by phases and hat
-    factors.
-    """
-    t = [HalfInt.make(x).twice for x in (j1, j2, j12, j3, j, j23)]
-    tj1, tj2, tj12, tj3, tj, tj23 = t
+@lru_cache(maxsize=None)
+def _usixj_t(tj1, tj2, tj12, tj3, tj, tj23):
     if not (_tri2(tj1, tj2, tj12) and _tri2(tj12, tj3, tj)
             and _tri2(tj2, tj3, tj23) and _tri2(tj1, tj23, tj)):
         return RAD_ZERO
@@ -126,8 +119,22 @@ def su2_usixj(j1, j2, j12, j3, j, j23):
     if six.is_zero():
         return RAD_ZERO
     sign = sign_pow((tj1 + tj2 + tj3 + tj) // 2)
-    hat = root_of_rational(sign, Fraction((tj12 + 1) * (tj23 + 1)))
+    hat = root_of_rational(sign, (tj12 + 1) * (tj23 + 1))
     return hat * six
+
+
+def su2_usixj(j1, j2, j12, j3, j, j23):
+    """Unitary recoupling symbol U(j1 j2 j j3; j12 j23).
+
+    <(j1 j2)j12, j3; j | j1, (j2 j3)j23; j>, i.e. the orthogonal
+    change of coupling order, related to the 6j by phases and hat
+    factors.
+    """
+    return _usixj_t(
+        HalfInt.make(j1).twice, HalfInt.make(j2).twice,
+        HalfInt.make(j12).twice, HalfInt.make(j3).twice,
+        HalfInt.make(j).twice, HalfInt.make(j23).twice,
+    )
 
 
 def su2_phi(j1, j2, j):

@@ -138,6 +138,24 @@ def test_verify_without_store_is_an_error(tmp_path):
     assert not os.path.exists(tmp_path / "no-such-store")
 
 
+@pytest.mark.parametrize("index", [
+    [],
+    {"schema": "so5racah-store@1"},
+    {"schema": "so5racah-store@1", "records": {"k": 5}},
+], ids=["list", "no-records", "non-string-hash"])
+@pytest.mark.parametrize("command", [
+    ("verify",),
+    ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)"),
+], ids=["verify", "couple"])
+def test_malformed_index_is_a_store_error(tmp_path, index, command):
+    # valid JSON of the wrong shape is reported, not a traceback
+    (tmp_path / "index.json").write_text(json.dumps(index))
+    r = run(*command, "--store", str(tmp_path))
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output
+
+
 def _drop_g1(payload):
     del payload["g1"]
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,3 +183,112 @@ def test_sign_consistency(x):
         assert f > -1e-15
     elif s < 0:
         assert f < 1e-15
+
+
+# -- the integer-pair kernel against a Fraction reference -------------------
+#
+# The reference keeps a value as {squarefree radicand: nonzero Fraction}
+# and does its own Fraction arithmetic; a product radicand is re-factored
+# anew with canonicalize.  The kernel under test keeps reduced
+# integer pairs and never builds a Fraction per operation.
+
+def _ref_clean(d):
+    return {r: c for r, c in d.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for r, c in b.items():
+        out[r] = out.get(r, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_neg(a):
+    return {r: -c for r, c in a.items()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ra, ca in a.items():
+        for rb, cb in b.items():
+            p = canonicalize(ca * cb, ra * rb)
+            out[p.rad] = out.get(p.rad, 0) + p.coeff
+    return _ref_clean(out)
+
+
+def _assert_canonical(x):
+    for r, (n, d) in x.pairs.items():
+        assert type(n) is int and type(d) is int
+        assert n != 0 and d > 0
+        assert gcd(n, d) == 1, (r, n, d)
+        assert canonicalize(1, r).rad == r
+
+
+def _assert_matches(x, ref):
+    _assert_canonical(x)
+    assert dict(x.terms) == ref
+    assert all(type(c) is Fraction for c in x.terms.values())
+
+
+wide_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
+@st.composite
+def wide_sums(draw, max_terms=4):
+    n = draw(st.integers(0, max_terms))
+    rads = draw(st.lists(radicands, min_size=n, max_size=n, unique=True))
+    total = RS_ZERO
+    for r in rads:
+        total = total + Radical(draw(wide_fractions), r)
+    return total
+
+
+@given(wide_sums(), wide_sums())
+@settings(deadline=None)
+def test_kernel_ring_ops_match_reference(x, y):
+    a, b = dict(x.terms), dict(y.terms)
+    _assert_matches(x + y, _ref_add(a, b))
+    _assert_matches(x - y, _ref_add(a, _ref_neg(b)))
+    _assert_matches(-x, _ref_neg(a))
+    _assert_matches(x * y, _ref_mul(a, b))
+    assert (x == y) == (a == b)
+    if a == b:
+        assert hash(x) == hash(y)
+
+
+@given(wide_sums(), wide_fractions.filter(bool), radicands)
+@settings(deadline=None)
+def test_kernel_division_matches_reference(x, c, r):
+    a = dict(x.terms)
+    _assert_matches(x / Radical(c, r), _ref_mul(a, {r: 1 / (c * r)}))
+    _assert_matches(x / c, _ref_mul(a, {1: 1 / c}))
+
+
+@given(wide_fractions, radicands, wide_fractions, radicands)
+def test_kernel_radical_product_matches_reference(c1, r1, c2, r2):
+    p = Radical(c1, r1) * Radical(c2, r2)
+    want = canonicalize(c1 * c2, r1 * r2)
+    assert p == want and hash(p) == hash(want)
+    assert p.den > 0 and gcd(p.num, p.den) == 1
+    assert p.coeff == want.coeff and type(p.coeff) is Fraction
+    assert Radical(c1, r1) * c2 == canonicalize(c1 * c2, r1)
+
+
+@given(st.lists(st.tuples(wide_fractions, radicands), max_size=6), st.randoms())
+@settings(deadline=None)
+def test_kernel_order_independent(parts, rnd):
+    # the same value summed in two orders, and built as a product in
+    # both factor orders, is equal and hashes alike
+    forward = RS_ZERO
+    for c, r in parts:
+        forward = forward + Radical(c, r)
+    shuffled = list(parts)
+    rnd.shuffle(shuffled)
+    backward = RS_ZERO
+    for c, r in shuffled:
+        backward = Radical(c, r) + backward
+    assert forward == backward and hash(forward) == hash(backward)
+    assert forward.pairs == backward.pairs
+    y = rs(Radical(Fraction(3, 4), 6)) - Fraction(1, 6)
+    assert forward * y == y * forward
+    assert hash(forward * y) == hash(y * forward)
