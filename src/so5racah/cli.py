@@ -72,17 +72,23 @@ def _compute_payload(chain, g1, g2, g):
     return chain3_record(g1, g2, g, chain3_transform(block))
 
 
-def _load_or_compute(store_path, chain, g1, g2, g):
+def _rendered(store_path, chain, g1, g2, g, fmt, digits):
+    """One coupling's record rendered: read from the store if it holds
+    the key, else solved (and written to the store if one is given).
+    A stored value that does not render is a store error."""
     if store_path is None:
-        return _compute_payload(chain, g1, g2, g)
+        return render_record(_compute_payload(chain, g1, g2, g), fmt, digits)
     st = Store(store_path)
     key = record_key(chain, str(g1), str(g2), str(g))
-    if st.hash_for(key) is not None:
-        return st.read_record(key)["payload"]
-    payload = _compute_payload(chain, g1, g2, g)
-    st.write_record(key, payload)
-    st.flush_index()
-    return payload
+    if st.hash_for(key) is None:
+        payload = _compute_payload(chain, g1, g2, g)
+        st.write_record(key, payload)
+        st.flush_index()
+        return render_record(payload, fmt, digits)
+    try:
+        return render_record(st.read_record(key)["payload"], fmt, digits)
+    except ValueError as e:
+        raise StoreError("record %r does not render: %s" % (key, e)) from None
 
 
 def _emit(text, output):
@@ -116,8 +122,7 @@ def main():
 def couple(g1, g2, g, chain, fmt, digits, output, store_path):
     """One coupling: solve (or load) and print the coefficient table."""
     t1, t2, t = _parse_irrep(g1), _parse_irrep(g2), _parse_irrep(g)
-    payload = _load_or_compute(store_path, chain, t1, t2, t)
-    _emit(render_record(payload, fmt, digits), output)
+    _emit(_rendered(store_path, chain, t1, t2, t, fmt, digits), output)
 
 
 @main.command()
@@ -136,8 +141,7 @@ def couple(g1, g2, g, chain, fmt, digits, output, store_path):
 def transform(g1, g2, g, target, fmt, digits, output, store_path):
     """Transform a canonical-chain block to another subalgebra chain."""
     t1, t2, t = _parse_irrep(g1), _parse_irrep(g2), _parse_irrep(g)
-    payload = _load_or_compute(store_path, target, t1, t2, t)
-    _emit(render_record(payload, fmt, digits), output)
+    _emit(_rendered(store_path, target, t1, t2, t, fmt, digits), output)
 
 
 @main.command()

@@ -24,8 +24,8 @@ squarefree >= 1.  The arithmetic reduces each pair with math.gcd where
 it is made, so no Fraction is built per field operation and equal
 values have equal stores and hash alike.  Fractions appear only at the
 boundary: ``Radical.coeff``, the read-only ``RadicalSum.terms`` view
-{rad: Fraction}, ``rational()``, ``square()``, ``exact_sign`` and
-``decimal``; constructors and scalar operands take ints or Fractions.
+{rad: Fraction}, ``rational()``, ``square()`` and ``decimal``;
+constructors and scalar operands take ints or Fractions.
 
 The canonical text form renders a term as a signed square root of a
 single rational, e.g. -(2/5)*sqrt(5) prints as ``-sqrt(4/5)``, and
@@ -36,7 +36,7 @@ sums join such terms with explicit signs.  ``parse_value`` inverts
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from types import MappingProxyType
 
 
@@ -384,41 +384,6 @@ def rs(x):
     return out
 
 
-def exact_sign(x):
-    """Sign of a RadicalSum as -1, 0, or +1, determined exactly.
-
-    Distinct squarefree radicals are linearly independent over Q, so a
-    nonempty sum is nonzero and the rational interval refinement below
-    always terminates.
-    """
-    x = rs(x)
-    if not x.pairs:
-        return 0
-    negs = [n < 0 for n, _ in x.pairs.values()]
-    if all(negs):
-        return -1
-    if not any(negs):
-        return 1
-    k = 16
-    while True:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        scale = 1 << k
-        for r, c in x.terms.items():
-            s = isqrt(r * scale * scale)
-            if c >= 0:
-                lo += c * Fraction(s, scale)
-                hi += c * Fraction(s + 1, scale)
-            else:
-                lo += c * Fraction(s + 1, scale)
-                hi += c * Fraction(s, scale)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        k *= 2
-
-
 # -- canonical text form ---------------------------------------------------
 
 def _render_term(num, den, rad):
@@ -479,7 +444,7 @@ def parse_value(s):
         num = int(m.group("num" if root else "rnum"))
         den = int(m.group("den" if root else "rden") or 1)
         if not den:
-            raise ZeroDivisionError("zero denominator in %r" % s)
+            raise ValueError("zero denominator in %r" % s)
         if root:
             # sign*sqrt(num/den) = (sign/den)*sqrt(num*den)
             term = _canonical(sign, den, num * den)

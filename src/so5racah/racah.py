@@ -11,7 +11,7 @@ conventions pin the coefficient vectors.
 """
 
 from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankDefect
-from .exact import RS_ZERO, RadicalSum, exact_sign
+from .exact import RS_ZERO, RadicalSum
 from .linalg import ExactMatrix, gram_schmidt, vec_dot
 from .so4 import HALFHALF, so4_kronecker, so4_phi, so4_triangle, so4_usixj
 from .so5 import generator_rmes, so5_branch_so4, so5_kronecker
@@ -56,22 +56,21 @@ class RacahSystem:
         self.n_augmented = n_augmented
 
 
-def _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp, with_lhs):
+def _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp):
     """One relation as a sparse row {column: Radical}, or None if empty.
 
-    lam may lie outside branch(g) only when with_lhs is false (the
-    known-zero augmentation rows).  The three kinds of term never share
-    a column: the left side carries the product label lam and the
-    others carry lamp, and a generator always changes the label it acts
-    on, so lamp != lam and the g1 and g2 terms differ in (X1Y1).  Only
-    the labels one generator step from lam1 and lam2 are visited, in
-    branch order.
+    When lam lies outside branch(g) (the known-zero augmentation rows)
+    the left side is absent: generator_rmes(g) lists only bras in
+    branch(g).  The three kinds of term never share a column: the left
+    side carries the product label lam and the others carry lamp, and a
+    generator always changes the label it acts on, so lamp != lam and
+    the g1 and g2 terms differ in (X1Y1).  Only the labels one generator
+    step from lam1 and lam2 are visited, in branch order.
     """
     row = {}
-    if with_lhs:
-        rme = generator_rmes(g)[lamp].get(lam)
-        if rme is not None:
-            row[colindex[(lam1, lam2, lam)]] = -rme
+    rme = generator_rmes(g)[lamp].get(lam)
+    if rme is not None:
+        row[colindex[(lam1, lam2, lam)]] = -rme
     phi_l = so4_phi(lam1, lam2, lam)
     rmes1 = generator_rmes(g1)
     for lam1p in rmes1[lam1]:
@@ -89,7 +88,7 @@ def _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp, with_lhs):
     return row or None
 
 
-def _relations(g1, g2, g, colindex, lams, with_lhs):
+def _relations(g1, g2, g, colindex, lams):
     """Yield (labels, row) for every nonempty relation whose product
     label lam is taken from lams, in canonical order."""
     branch_g = so5_branch_so4(g)
@@ -102,7 +101,7 @@ def _relations(g1, g2, g, colindex, lams, with_lhs):
                     if not so4_triangle(lamp, HALFHALF, lam):
                         continue
                     row = _racah_row(g1, g2, g, colindex,
-                                     lam1, lam2, lam, lamp, with_lhs)
+                                     lam1, lam2, lam, lamp)
                     if row is not None:
                         yield (lam1, lam2, lam, lamp), row
 
@@ -112,9 +111,9 @@ def build_system(g1, g2, g):
 
     If the normal rows leave the nullity above the outer multiplicity
     (exceptional couplings where every normal row vanishes or is
-    degenerate), rows with the intermediate coupling label outside
-    branch(g) are appended, one candidate label at a time in canonical
-    order, until the nullity matches.
+    degenerate), the rows of every product label one SO(4) generator
+    step outside branch(g) are appended at once, and RankDefect is
+    raised if the nullity still does not match.
     """
     columns = enumerate_columns(g1, g2, g)  # raises NotInSeries
     D = outer_multiplicity(g1, g2, g)
@@ -122,22 +121,15 @@ def build_system(g1, g2, g):
     ncols = len(columns)
     branch_g = so5_branch_so4(g)
 
-    rels = list(_relations(g1, g2, g, colindex, branch_g, True))
+    rels = list(_relations(g1, g2, g, colindex, branch_g))
     n_normal = len(rels)
     matrix = ExactMatrix([row for _, row in rels], ncols)
     if matrix.rank() < ncols - D:
-        # supply of outside labels: one SO(4) generator step away from
-        # the branching, canonical order
-        supply = sorted(
+        outside = sorted(
             {c for lamp in branch_g for c in so4_kronecker(lamp, HALFHALF)}
             - set(branch_g))
-        for lam in supply:
-            more = list(_relations(g1, g2, g, colindex, [lam], False))
-            if more:
-                rels += more
-                matrix = ExactMatrix([row for _, row in rels], ncols)
-                if matrix.rank() == ncols - D:
-                    break
+        rels += _relations(g1, g2, g, colindex, outside)
+        matrix = ExactMatrix([row for _, row in rels], ncols)
     if matrix.rank() != ncols - D:
         raise RankDefect(
             "%s x %s -> %s: rank %d, want %d (N=%d, D=%d)"
@@ -232,7 +224,12 @@ def solve_isoscalars(g1, g2, g, system=None):
             raise InternalInconsistency("all-zero solution vector")
         if pos != primary:
             meta["sign_fallback"] = True
-        if exact_sign(v[pos]) < 0:
+        # the leading coefficient is one radical: its sign is its numerator's
+        if len(v[pos].pairs) != 1:
+            raise InternalInconsistency("leading coefficient %s is not a "
+                                        "single radical" % v[pos])
+        (num, _), = v[pos].pairs.values()
+        if num < 0:
             vectors[rho] = [-x for x in v]
 
     return IsoscalarBlock(g1, g2, g, columns, vectors, meta)

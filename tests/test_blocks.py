@@ -259,6 +259,15 @@ def test_block_record_frozen(g1, g2, g):
     assert digest == DIGESTS[(g1, g2, g)]
 
 
+@pytest.mark.parametrize("g1,g2,g", list(DIGESTS))
+def test_block_values_are_single_radicals(g1, g2, g):
+    # the phase convention reads the sign of the leading coefficient off
+    # its one radical; every coefficient is zero or one term
+    blk = solve_isoscalars(*(So5Irrep.parse(s) for s in (g1, g2, g)))
+    assert all(len(x.pairs) <= 1 for v in blk.vectors for x in v)
+    assert any(x.pairs for x in blk.vectors[0])
+
+
 SYSTEMS_DIGEST = "7078b52eeddd0e3a55a1675e3058dfbae41cee953a4e5874d949fc62f392647a"
 
 

@@ -168,6 +168,10 @@ def _short_vector(payload):
     payload["vectors"][0].pop()
 
 
+def _zero_denominator(payload):
+    payload["vectors"][0][0] = "sqrt(1/0)"
+
+
 @pytest.mark.parametrize("chain, edit", [
     ("isospin", None),
     ("isospin", _drop_g1),
@@ -175,8 +179,9 @@ def _short_vector(payload):
     ("so4", _drop_g1),
     ("so4", _bad_g1),
     ("so4", _short_vector),
+    ("so4", _zero_denominator),
 ], ids=["not-an-object", "isospin-no-g1", "isospin-bad-g1", "so4-no-g1",
-        "so4-bad-g1", "so4-short-vector"])
+        "so4-bad-g1", "so4-short-vector", "so4-zero-denominator"])
 def test_verify_reports_malformed_record(tmp_path, chain, edit):
     # a hand-edited record is reported as one FAIL line, and the other
     # record is still checked
@@ -203,6 +208,32 @@ def test_verify_reports_malformed_record(tmp_path, chain, edit):
     assert "FAIL %s" % key in lines
     assert sum(l.startswith("ok   ") for l in lines) == 1
     assert lines[-1] == "2 records checked, 1 failed"
+
+
+@pytest.mark.parametrize("value", ["sqrt(1/0)", "sqrt(x)"])
+@pytest.mark.parametrize("command, chain", [
+    (("couple", "--chain", "so4"), "so4"),
+    (("transform", "--to", "isospin"), "isospin"),
+], ids=["couple", "transform"])
+def test_unrenderable_stored_value_is_a_store_error(tmp_path, command, chain,
+                                                    value):
+    # a re-hashed record whose value does not parse is named, not a traceback
+    args = command + ("--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+                      "--format", "float", "--store", str(tmp_path / "st"))
+    assert run(*args).exit_code == 0
+    st = Store(str(tmp_path / "st"))
+    key = "%s|(1/2,0) x (1/2,0) -> (0,0)" % chain
+    payload = st.read_record(key)["payload"]
+    if chain == "so4":
+        payload["vectors"][0][0] = value
+    else:
+        payload["rows"][0]["values"][0] = value
+    st.write_record(key, payload)
+    st.flush_index()
+    r = run(*args)
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output and key in r.output
 
 
 def test_store_cache_and_reuse(tmp_path):

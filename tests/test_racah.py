@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from so5racah.errors import NotInSeries
-from so5racah.exact import RS_ZERO, parse_value, render_value, rs
+from so5racah import racah
+from so5racah.errors import InternalInconsistency, NotInSeries, RankDefect
+from so5racah.exact import RS_ZERO, Radical, parse_value, render_value, rs
 from so5racah.halfint import hi
 from so5racah.linalg import vec_dot
 from so5racah.racah import CONVENTIONS, build_system, enumerate_columns, \
@@ -64,6 +65,35 @@ def test_exceptional_coupling_needs_augmentation():
     blk = solve_isoscalars(g1, g1, So5Irrep(0, 0))
     assert _vals(blk) == ["sqrt(1/2)", "sqrt(1/2)"]
     assert verify_block(blk, sys_) == []
+
+
+def test_rank_defect_when_outside_rows_do_not_close(monkeypatch):
+    # without the known-zero rows of the outside labels the exceptional
+    # coupling keeps a nullity above D
+    relations = racah._relations
+
+    def inside_only(g1, g2, g, colindex, lams):
+        inside = set(so5_branch_so4(g))
+        return relations(g1, g2, g, colindex, [l for l in lams if l in inside])
+
+    monkeypatch.setattr(racah, "_relations", inside_only)
+    g1 = So5Irrep(H, 0)
+    with pytest.raises(RankDefect, match="rank 0, want 1"):
+        build_system(g1, g1, So5Irrep(0, 0))
+
+
+def test_leading_coefficient_must_be_one_radical(monkeypatch):
+    # the phase is the sign of a single radical; a sum there is a fault
+    gram_schmidt = racah.gram_schmidt
+
+    def two_terms(vectors, idxs):
+        return [[x if x.is_zero() else x - Radical(1, 7) for x in v]
+                for v in gram_schmidt(vectors, idxs)]
+
+    monkeypatch.setattr(racah, "gram_schmidt", two_terms)
+    g1 = So5Irrep(H, 0)
+    with pytest.raises(InternalInconsistency, match="not a single radical"):
+        solve_isoscalars(g1, g1, So5Irrep(0, 0))
 
 
 def test_multiplicity_two_block():
