@@ -14,14 +14,14 @@ import click
 from .angmom import chain3_branch, chain3_brackets, chain3_transform, \
     verify_chain3_brackets
 from .errors import NotInSeries, So5Error, StoreError
-from .formats import block_from_record, block_record, chain2_record, \
-    chain3_record, render_record
+from .formats import block_record, chain2_record, chain3_record, \
+    render_record
 from .halfint import HalfInt
 from .isospin import chain2_branch, chain2_brackets, chain2_transform, \
     verify_chain2_brackets
 from .racah import build_system, solve_isoscalars, verify_block
 from .so5 import So5Irrep, so5_branch_so4, so5_kronecker
-from .store import Store, record_key
+from .store import Store, parse_key, record_key
 
 STORE_ENV = "SO5RACAH_STORE"
 
@@ -61,34 +61,38 @@ def _parse_halfint(s):
         raise click.UsageError("bad half-integer %r: %s" % (s, e))
 
 
-def _compute_payload(chain, g1, g2, g):
-    """Build the record payload for one coupling from a freshly solved
+def _payload(chain, block):
+    """The record payload of a coupling in one chain, derived from its
     canonical block."""
-    block = solve_isoscalars(g1, g2, g)
     if chain == "so4":
         return block_record(block)
     if chain == "isospin":
-        return chain2_record(g1, g2, g, chain2_transform(block))
-    return chain3_record(g1, g2, g, chain3_transform(block))
+        return chain2_record(block.g1, block.g2, block.g,
+                             chain2_transform(block))
+    return chain3_record(block.g1, block.g2, block.g, chain3_transform(block))
 
 
 def _rendered(store_path, chain, g1, g2, g, fmt, digits):
     """One coupling's record rendered: read from the store if it holds
     the key, else solved (and written to the store if one is given).
-    A stored value that does not render is a store error."""
-    if store_path is None:
-        return render_record(_compute_payload(chain, g1, g2, g), fmt, digits)
-    st = Store(store_path)
+    A stored record that does not render, or that holds another
+    coupling than its key names, is a store error."""
+    st = None if store_path is None else Store(store_path)
     key = record_key(chain, str(g1), str(g2), str(g))
-    if st.hash_for(key) is None:
-        payload = _compute_payload(chain, g1, g2, g)
-        st.write_record(key, payload)
-        st.flush_index()
+    if st is None or st.hash_for(key) is None:
+        payload = _payload(chain, solve_isoscalars(g1, g2, g))
+        if st is not None:
+            st.write_record(key, payload)
+            st.flush_index()
         return render_record(payload, fmt, digits)
     try:
-        return render_record(st.read_record(key)["payload"], fmt, digits)
-    except ValueError as e:
-        raise StoreError("record %r does not render: %s" % (key, e)) from None
+        payload = st.read_record(key)["payload"]
+        named = record_key(*(payload[f] for f in ("chain", "g1", "g2", "g")))
+        if named != key:
+            raise ValueError("it holds %r" % named)
+        return render_record(payload, fmt, digits)
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise StoreError("record %r is unusable: %s" % (key, e)) from None
 
 
 def _emit(text, output):
@@ -220,11 +224,9 @@ def _irreps_up_to(max_r):
 
 
 def _tabulate_worker(args):
-    chain, g1s, g2s, gs = args
-    g1 = So5Irrep.parse(g1s)
-    g2 = So5Irrep.parse(g2s)
-    g = So5Irrep.parse(gs)
-    return record_key(chain, g1s, g2s, gs), _compute_payload(chain, g1, g2, g)
+    chain, *labels = args
+    block = solve_isoscalars(*(So5Irrep.parse(s) for s in labels))
+    return record_key(chain, *labels), _payload(chain, block)
 
 
 @main.command()
@@ -273,45 +275,37 @@ def tabulate(max_r, chain, jobs, store_path):
                % (len(work), skipped, store_path))
 
 
-_TABLE_CHAINS = {
-    "chain2-table": ("isospin", chain2_brackets, verify_chain2_brackets),
-    "chain3-table": ("angmom", chain3_brackets, verify_chain3_brackets),
+# per table chain: its irreps' brackets and their check
+_BRACKETS = {
+    "isospin": (chain2_brackets, verify_chain2_brackets),
+    "angmom": (chain3_brackets, verify_chain3_brackets),
 }
 
 
-def _verify_payload(payload, checked):
-    """Problems of one record.  checked maps (chain, irrep) to the
-    problems of that irrep's bracket check, so one verify run checks
-    each irrep once."""
-    kind = payload.get("kind")
-    if kind != "block" and kind not in _TABLE_CHAINS:
-        return ["unknown record kind %r" % kind]
-    need = ["g1", "g2", "g"] + (["conventions", "columns", "vectors"]
-                                 if kind == "block" else [])
-    missing = [f for f in need if f not in payload]
-    if missing:
-        return ["payload lacks %s" % ", ".join(missing)]
+def _verify_record(key, payload, checked):
+    """Problems of the record stored under key, whose coupling is solved
+    afresh: the block must pass verify_block, a chain table's irreps
+    their bracket check (once per run: checked maps (chain, irrep) to
+    its problems), and the stored payload must equal the derived one."""
     try:
-        irreps = [So5Irrep.parse(payload[slot]) for slot in ("g1", "g2", "g")]
-        block = block_from_record(payload) if kind == "block" else None
-    except (TypeError, ValueError) as e:
-        return ["unparseable label or value: %s" % e]
-    if block is not None:
-        # one assembly serves the stored block's checks and the fresh solve
-        system = build_system(*irreps)
-        problems = verify_block(block, system)
-        fresh = block_record(solve_isoscalars(*irreps, system=system))
-    else:
-        chain, brackets, check = _TABLE_CHAINS[kind]
-        problems = []
+        chain, *labels = parse_key(key)
+        irreps = [So5Irrep.parse(s) for s in labels]
+    except ValueError as e:
+        return [str(e)]
+    if chain not in CHAINS or [str(t) for t in irreps] != labels:
+        return ["%r is not a canonical record key" % key]
+    system = build_system(*irreps)
+    block = solve_isoscalars(*irreps, system=system)
+    problems = verify_block(block, system)
+    if chain in _BRACKETS:
+        brackets, check = _BRACKETS[chain]
         for g in dict.fromkeys(irreps):
             if (chain, g) not in checked:
                 checked[chain, g] = check(g, brackets(g))
             problems += checked[chain, g]
-        fresh = _compute_payload(chain, *irreps)
-    if fresh != payload:
-        problems.append("record differs from the one recomputed from a "
-                        "freshly solved canonical block")
+    if _payload(chain, block) != payload:
+        problems.append("record differs from the one re-derived from the "
+                        "coupling its key names")
     return problems
 
 
@@ -319,10 +313,11 @@ def _verify_payload(payload, checked):
 @click.option("--store", "store_path", required=True, envvar=STORE_ENV)
 @guarded
 def verify(store_path):
-    """Re-check every stored record: content hashes, then the exactness
-    reports (row annihilation, orthonormality, bracket unitarity,
-    eigen-relations); every record is also recomputed and compared.
-    One line per record; exit 1 if anything fails."""
+    """Re-check every stored record: content hashes, then the record its
+    key names is re-derived from a freshly solved block that must pass
+    the exactness reports (row annihilation, orthonormality, bracket
+    unitarity, eigen-relations) and equal the stored one.  One line per
+    record; exit 1 if anything fails."""
     st = Store(store_path)
     if not os.path.exists(st.index_path):
         raise StoreError("no store at %s: index.json is missing" % store_path)
@@ -336,7 +331,7 @@ def verify(store_path):
             payload, problems = None, [str(e)]
         if payload is not None and not problems:
             try:
-                problems = _verify_payload(payload, checked)
+                problems = _verify_record(key, payload, checked)
             except So5Error as e:
                 problems = [str(e)]
         click.echo("%s %s" % ("ok  " if not problems else "FAIL", key))

@@ -3,16 +3,14 @@ and decimal rendering.
 
 A record is a plain-JSON payload dict: labels as canonical strings,
 values as canonical radical strings ("-sqrt(4/5)"), convention flags
-stamped inside.  parse/render round-trips are bit-exact, so records can
-be hashed and diffed.
+stamped inside.  Records are hashed, diffed and rendered but never read
+back into engine objects: `verify` re-derives each one from its key.
 """
 
 import json
 
 from .exact import parse_value, render_value
-from .racah import CONVENTIONS, IsoscalarBlock
-from .so4 import So4Irrep
-from .so5 import So5Irrep
+from .racah import CONVENTIONS
 
 # per table record kind: its chain, the convention flags it adds to the
 # canonical ones, and its display columns in order as (header, field,
@@ -52,16 +50,6 @@ def block_record(block):
         "columns": [[str(l1), str(l2), str(l)] for l1, l2, l in block.columns],
         "vectors": [[render_value(v) for v in vec] for vec in block.vectors],
     }
-
-
-def block_from_record(rec):
-    g1 = So5Irrep.parse(rec["g1"])
-    g2 = So5Irrep.parse(rec["g2"])
-    g = So5Irrep.parse(rec["g"])
-    columns = [tuple(So4Irrep.parse(s) for s in col) for col in rec["columns"]]
-    vectors = [[parse_value(s) for s in vec] for vec in rec["vectors"]]
-    return IsoscalarBlock(g1, g2, g, columns, vectors,
-                          {"conventions": dict(rec["conventions"])})
 
 
 def _table_record(kind, g1, g2, g, rows):

@@ -28,6 +28,17 @@ def record_key(chain, g1, g2, g):
     return "%s|%s x %s -> %s" % (chain, g1, g2, g)
 
 
+def parse_key(key):
+    """The (chain, g1, g2, g) strings of a record key; ValueError unless
+    record_key writes them back as this key byte for byte."""
+    chain, _, rest = key.partition("|")
+    g1, _, rest = rest.partition(" x ")
+    g2, _, g = rest.partition(" -> ")
+    if record_key(chain, g1, g2, g) != key:
+        raise ValueError("%r is not a record key" % key)
+    return chain, g1, g2, g
+
+
 def payload_hash(payload):
     return hashlib.sha256(canonical_json(payload)).hexdigest()
 

@@ -76,7 +76,6 @@ def su2_cg(j1, m1, j2, m2, j, m):
     )
 
 
-@lru_cache(maxsize=None)
 def _sixj_t(tj1, tj2, tj3, tj4, tj5, tj6):
     for (ta, tb, tc) in (
         (tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6), (tj4, tj5, tj3),

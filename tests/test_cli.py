@@ -236,6 +236,97 @@ def test_unrenderable_stored_value_is_a_store_error(tmp_path, command, chain,
     assert "store error" in r.output and key in r.output
 
 
+@pytest.mark.parametrize("chain, field", [
+    ("so4", "columns"), ("so4", "vectors"), ("isospin", "rows"),
+])
+def test_stored_record_without_field_is_a_store_error(tmp_path, chain, field):
+    # a re-hashed record that lacks a field is named, not a traceback
+    args = ("couple", "--chain", chain, "--g1", "(1/2,0)", "--g2", "(1/2,0)",
+            "--g", "(0,0)", "--store", str(tmp_path / "st"))
+    assert run(*args).exit_code == 0
+    st = Store(str(tmp_path / "st"))
+    key = "%s|(1/2,0) x (1/2,0) -> (0,0)" % chain
+    payload = st.read_record(key)["payload"]
+    del payload[field]
+    st.write_record(key, payload)
+    st.flush_index()
+    r = run(*args)
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output and key in r.output
+
+
+SCALAR = "so4|(1/2,0) x (1/2,0) -> (0,0)"
+VECTOR = "so4|(1/2,0) x (1/2,0) -> (1,0)"
+
+
+def _misfiled_store(tmp_path):
+    """A store whose SCALAR entry points at the VECTOR record."""
+    store = str(tmp_path / "st")
+    for g in ("(0,0)", "(1,0)"):
+        r = run("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", g,
+                "--store", store)
+        assert r.exit_code == 0
+    st = Store(store)
+    st.index()[SCALAR] = st.hash_for(VECTOR)
+    st.flush_index()
+    return store
+
+
+def test_misfiled_record_is_a_store_error(tmp_path):
+    # the record's own labels must make the requested key
+    store = _misfiled_store(tmp_path)
+    r = run("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+            "--store", store)
+    assert r.exit_code == 4, r.output
+    assert "store error" in r.output and SCALAR in r.output
+
+
+def test_verify_rederives_the_record_its_key_names(tmp_path):
+    # the misfiled record is itself intact; only its key is wrong
+    v = run("verify", "--store", _misfiled_store(tmp_path))
+    assert v.exit_code == 1, v.output
+    lines = v.output.splitlines()
+    assert "FAIL %s" % SCALAR in lines and "ok   %s" % VECTOR in lines
+    assert lines[-1] == "2 records checked, 1 failed"
+
+
+@pytest.mark.parametrize("bad", [
+    "so4|junk",
+    "so4|(1/2, 0) x (1/2,0) -> (0,0)",
+], ids=["junk", "non-canonical"])
+def test_verify_reports_bad_key(tmp_path, bad):
+    # an index key that record_key would not write is one FAIL line, even
+    # when it points at a valid record of the coupling it spells
+    store = str(tmp_path / "st")
+    r = run("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+            "--store", store)
+    assert r.exit_code == 0
+    st = Store(store)
+    st.index()[bad] = st.hash_for(SCALAR)
+    st.flush_index()
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1, v.output
+    assert v.exception is None or isinstance(v.exception, SystemExit)
+    lines = v.output.splitlines()
+    assert "FAIL %s" % bad in lines and "ok   %s" % SCALAR in lines
+    assert lines[-1] == "2 records checked, 1 failed"
+
+
+def test_verify_checks_the_block_of_a_table(tmp_path, monkeypatch):
+    # a chain-table record is checked through the block it derives from
+    from so5racah import cli
+    store = str(tmp_path / "st")
+    r = run("couple", "--chain", "isospin", "--g1", "(1/2,0)", "--g2",
+            "(1/2,0)", "--g", "(0,0)", "--store", store)
+    assert r.exit_code == 0
+    monkeypatch.setattr(cli, "verify_block", lambda block, system: ["planted"])
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1, v.output
+    assert "FAIL isospin|(1/2,0) x (1/2,0) -> (0,0)" in v.output
+    assert "     - planted" in v.output
+
+
 def test_store_cache_and_reuse(tmp_path):
     store = str(tmp_path / "st")
     args = ("--g1", "(1/2,1/2)", "--g2", "(1/2,0)", "--g", "(1/2,0)")
@@ -358,15 +449,14 @@ def test_verify_checks_each_irrep_once(tmp_path, monkeypatch):
         r = run("couple", "--chain", "isospin", "--g1", "(1/2,0)", "--g2", g2,
                 "--g", g, "--store", store)
         assert r.exit_code == 0
-    chain, brackets, check = cli._TABLE_CHAINS["chain2-table"]
+    brackets, check = cli._BRACKETS["isospin"]
     calls = []
 
     def counting(g, bs):
         calls.append(str(g))
         return check(g, bs)
 
-    monkeypatch.setitem(cli._TABLE_CHAINS, "chain2-table",
-                        (chain, brackets, counting))
+    monkeypatch.setitem(cli._BRACKETS, "isospin", (brackets, counting))
     v = run("verify", "--store", store)
     assert v.exit_code == 0, v.output
     assert v.output.count("ok   isospin|") == 2

@@ -35,7 +35,7 @@ def test_columns_in_series_order():
         ("(1/2,1/2)", "(0,1/2)", "(1/2,0)"),
     ]
     with pytest.raises(NotInSeries):
-        enumerate_columns(So5Irrep(H, 0), So5Irrep(H, 0), So5Irrep(1, 1))
+        build_system(So5Irrep(H, 0), So5Irrep(H, 0), So5Irrep(1, 1))
 
 
 def test_vector_coupling_block():

@@ -8,7 +8,7 @@ from so5racah.errors import StoreError
 from so5racah.formats import block_record, canonical_json
 from so5racah.racah import solve_isoscalars
 from so5racah.so5 import So5Irrep
-from so5racah.store import Store, payload_hash, record_key
+from so5racah.store import Store, parse_key, payload_hash, record_key
 
 H = Fraction(1, 2)
 
@@ -24,6 +24,10 @@ KEY = "so4|(1/2,1/2) x (1/2,0) -> (1/2,0)"
 
 def test_record_key():
     assert record_key("so4", "(1/2,1/2)", "(1/2,0)", "(1/2,0)") == KEY
+    assert parse_key(KEY) == ("so4", "(1/2,1/2)", "(1/2,0)", "(1/2,0)")
+    for bad in ("so4|junk", "so4|(1/2,0) x (1/2,0)", "so4 (1/2,0) x a -> b"):
+        with pytest.raises(ValueError):
+            parse_key(bad)
 
 
 def test_write_read_round_trip(tmp_path, payload):
