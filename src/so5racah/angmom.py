@@ -2,7 +2,7 @@
 
 The angular momentum operator mixes the two SU(2) chains: L weights are
 M_L = M_X + 3*M_Y, so a chain (III) basis state spans several weight
-points of the same M_L.  The chain has a single sector; its lowering
+points of the same M_L.  The chain has one sector, (); its lowering
 operator is L_- = 2 X_- + 2 sqrt(3) T_{+-}, the sqrt(2) L^(1)_{-1} of
 the generator matrices below.  The laddering, the L.L check and the
 coefficient transformation are the ones of `chains`.
@@ -21,9 +21,9 @@ from .su2 import su2_cg
 
 
 def chain3_level(state):
-    """(0, M_L) of a weight basis state: one sector, M_L = M_X + 3 M_Y."""
+    """((), M_L) of a weight basis state: one sector, M_L = M_X + 3 M_Y."""
     _, mx, my = state
-    return 0, HalfInt(mx.twice + 3 * my.twice)
+    return (), HalfInt(mx.twice + 3 * my.twice)
 
 
 def chain3_branch(g):
@@ -97,25 +97,19 @@ def chain3_lowering(g, basis):
                   op_scale(Radical(Fraction(2), 3), primitive(g, basis, "T+-")))
 
 
-def _split(key):
-    return (0,) + key
-
-
 @lru_cache(maxsize=None)
 def chain3_brackets(g):
     """Chain (III) brackets keyed (alpha, L, M_L); alpha is creation order.
     Built once per irrep per process; the set is shared and read-only,
     and cache_clear() drops it."""
     basis = weight_basis(g)
-    entries = ladder(basis, chain3_level, chain3_lowering(g, basis))
-    return BracketSet({key[1:]: terms for key, terms in entries.items()})
+    return BracketSet(ladder(basis, chain3_level, chain3_lowering(g, basis)))
 
 
 def verify_chain3_brackets(g, bs):
     """Unitarity per M_L level and the L.L eigen-relation; list of problems."""
     basis = weight_basis(g)
-    return verify_brackets(bs, basis, chain3_level,
-                           chain3_lowering(g, basis), _split)
+    return verify_brackets(bs, basis, chain3_level, chain3_lowering(g, basis))
 
 
 Chain3Row = namedtuple("Chain3Row", "a1 l1 a2 l2 a l values")
@@ -123,7 +117,5 @@ Chain3Row = namedtuple("Chain3Row", "a1 l1 a2 l2 a l values")
 
 def chain3_transform(block):
     """Chain (III) reduced coupling coefficients for the coupling in block."""
-    return transform(
-        block, chain3_brackets, _split,
-        lambda a, b, c, values: Chain3Row(a[1], a[2], b[1], b[2], c[1], c[2], values),
-        lambda r: (r.l1.twice, r.a1, r.l2.twice, r.a2, r.l.twice, r.a))
+    return transform(block, chain3_brackets, Chain3Row,
+                     lambda r: (r.l1.twice, r.a1, r.l2.twice, r.a2, r.l.twice, r.a))

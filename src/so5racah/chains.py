@@ -3,12 +3,13 @@ matrices, transformation brackets by laddering, their verification,
 and the transformation of canonical-chain coefficients.
 
 A chain is described by two things.  Its level function maps a weight
-basis state (lam, M_X, M_Y) to (sector, m): the sector is a label the
-subalgebra leaves fixed (M_S in the isospin chain, a single 0 in the
-angular-momentum chain) and m is the weight of its SO(3).  Its lowering
-operator, a sparse matrix over the weight basis, maps level
+basis state (lam, M_X, M_Y) to (sector, m): the sector is the tuple
+of labels the subalgebra leaves fixed ((M_S,) in the isospin chain, ()
+in the angular-momentum chain) and m is the weight of its SO(3).  Its
+lowering operator, a sparse matrix over the weight basis, maps level
 (sector, m) into (sector, m - 1).  Brackets, the Casimir used to check
-them, and the coefficient transformation follow from these alone.
+them, and the coefficient transformation follow from these alone.  A
+bracket key is sector + (k, j, m), which is the chain's own label.
 
 Sparse matrices are column-major: mat[j] is a dict {i: value} so that
 (M v)[i] = sum_j mat[j][i] * v[j].
@@ -16,6 +17,7 @@ Sparse matrices are column-major: mat[j] is a dict {i: value} so that
 
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 
 from .errors import DegenerateForm, InternalInconsistency, LadderNullUnexpected
@@ -174,7 +176,7 @@ def ladder(basis, level, lower):
     completion starting a new multiplet j = m.  The number of new
     multiplets is the growth of the level size from m+1 to m.
 
-    Returns {(sector, k, j, m): terms} in creation order, sectors
+    Returns {sector + (k, j, m): terms} in creation order, sectors
     descending, k numbering the multiplets of equal (sector, j), terms
     the ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs in basis order.
     """
@@ -238,25 +240,25 @@ def ladder(basis, level, lower):
                     "level (%s, %s): %d vectors for %d states"
                     % (sector, m, len(live), len(members)))
             for j, k, vec in live:
-                entries[(sector, k, j, m)] = tuple(
+                entries[sector + (k, j, m)] = tuple(
                     ((basis[i][0], (basis[i][1], basis[i][2])), v)
                     for i, v in sorted(vec.items()))
     return entries
 
 
-def verify_brackets(bs, basis, level, lower, split):
+def verify_brackets(bs, basis, level, lower):
     """Unitarity per level and the Casimir eigen-relation for the
-    brackets bs over basis; split(key) gives a key's (sector, k, j, m).
-    Returns a list of problems, empty when clean."""
+    brackets bs over basis, keyed sector + (k, j, m) as ladder makes
+    them.  Returns a list of problems, empty when clean."""
     index = {s: i for i, s in enumerate(basis)}
     c2 = casimir(basis, level, lower)
     counts = Counter(level(s) for s in basis)
     by_level = {lev: [] for lev in counts}
     problems = []
     for key, terms in bs.entries.items():
-        sector, _, j, m = split(key)
+        j, m = key[-2:]
         vec = {index[(lam, w[0], w[1])]: v for (lam, w), v in terms}
-        by_level.setdefault((sector, m), []).append((key, vec))
+        by_level.setdefault((key[:-3], m), []).append((key, vec))
         ev = j.as_fraction() * (j.as_fraction() + 1)
         lhs = op_apply(c2, vec)
         if set(lhs) - set(vec) or any(lhs.get(i, RS_ZERO) != v * ev
@@ -285,15 +287,15 @@ def _accumulate(out, key, x):
     out[key] = x if prev is None else prev + x
 
 
-def transform(block, brackets, split, row, order):
+def transform(block, brackets, row, order):
     """Reduced coupling coefficients of block in a chain basis.
 
-    brackets(g) gives the BracketSet of an irrep and split(key) the
-    (sector, k, j, m) of one of its keys.  Each label triple
-    (sector, k, j) of g1, g2 and g whose sectors add and whose j
-    satisfy the triangle rule gives row(lab1, lab2, lab, values), with
-    one value per outer multiplicity, evaluated at m = j and checked to
-    be identical at m = j - 1.  Rows are returned sorted by order.
+    brackets(g) gives the BracketSet of an irrep, keyed
+    sector + (k, j, m).  Each label triple sector + (k, j) of g1, g2
+    and g whose sectors add and whose j satisfy the triangle rule gives
+    row(*lab1, *lab2, *lab, values), with one value per outer
+    multiplicity, evaluated at m = j and checked to be identical at
+    m = j - 1.  Rows are returned sorted by order.
 
     The sum is staged.  Each canonical state (lam, w) of g is coupled
     once per rho from the canonical coefficients and SO(4) CGs, sparse
@@ -304,8 +306,7 @@ def transform(block, brackets, split, row, order):
     overlap, and SU(2) CGs over m1 combine the overlaps into a row value.
     The memo tables live for one call.
     """
-    vecs = [{split(key): terms for key, terms in brackets(g).entries.items()}
-            for g in (block.g1, block.g2, block.g)]
+    vecs = [brackets(g).entries for g in (block.g1, block.g2, block.g)]
     pairs = {}
     for col, (lam1, lam2, lam) in enumerate(block.columns):
         pairs.setdefault(lam, []).append((lam1, lam2, col))
@@ -348,9 +349,9 @@ def transform(block, brackets, split, row, order):
         out = {}
         for lab1, lab2 in triples:
             total = RS_ZERO
-            for m1 in mrange(lab1[2]):
+            for m1 in mrange(lab1[-1]):
                 m2 = m - m1
-                if abs(m2) > lab2[2]:
+                if abs(m2) > lab2[-1]:
                     continue
                 half = halves.get((lab1, m1))
                 if half is None:
@@ -364,16 +365,19 @@ def transform(block, brackets, split, row, order):
                     if x is not None:
                         dot = dot + x * c2
                 if not dot.is_zero():
-                    total = total + su2_cg(lab1[2], m1, lab2[2], m2, j, m) * dot
+                    total = total + su2_cg(lab1[-1], m1, lab2[-1], m2, j, m) * dot
             out[(lab1, lab2)] = total
         return out
 
-    labs = [[(s, k, j) for s, k, j, m in v if m == j] for v in vecs]
+    # sector + (k, j) of each multiplet, from its m = j key
+    labs = [[key[:-1] for key in v if key[-1] == key[-2]] for v in vecs]
+    sectors = {(lab1, lab2): tuple(map(add, lab1[:-2], lab2[:-2]))
+               for lab1 in labs[0] for lab2 in labs[1]}
     rows = []
     for lab in labs[2]:
-        j = lab[2]
-        triples = [(lab1, lab2) for lab1 in labs[0] for lab2 in labs[1]
-                   if lab[0] == lab1[0] + lab2[0] and triangle(lab1[2], lab2[2], j)]
+        j = lab[-1]
+        triples = [(lab1, lab2) for (lab1, lab2), sector in sectors.items()
+                   if sector == lab[:-2] and triangle(lab1[-1], lab2[-1], j)]
         if not triples:
             continue
         per_rho = []
@@ -387,6 +391,6 @@ def transform(block, brackets, split, row, order):
                             "m dependence at %s" % ((lab1, lab2, lab, rho + 1),))
             per_rho.append(at_j)
         for lab1, lab2 in triples:
-            rows.append(row(lab1, lab2, lab, tuple(v[(lab1, lab2)] for v in per_rho)))
+            rows.append(row(*lab1, *lab2, *lab, tuple(v[(lab1, lab2)] for v in per_rho)))
     rows.sort(key=order)
     return rows

@@ -195,24 +195,24 @@ def _fmt_terms(pairs):
     return "  ".join(terms)
 
 
+# per table chain: its irreps' brackets and their check
+_BRACKETS = {
+    "isospin": (chain2_brackets, verify_chain2_brackets),
+    "angmom": (chain3_brackets, verify_chain3_brackets),
+}
+
+
 @main.command()
 @click.option("--g", required=True)
 @click.option("--chain", required=True, type=click.Choice(("isospin", "angmom")))
 @guarded
 def brackets(g, chain):
     """Transformation brackets of one irrep, one chain vector per line."""
-    t = _parse_irrep(g)
-    if chain == "isospin":
-        bs = chain2_brackets(t)
-        for (ms, kappa, tt, mt) in bs.labels():
-            click.echo("|MS=%s k=%d T=%s MT=%s> = %s"
-                       % (ms, kappa, tt, mt,
-                          _fmt_terms(bs.vector((ms, kappa, tt, mt)))))
-    else:
-        bs = chain3_brackets(t)
-        for (a, l, ml) in bs.labels():
-            click.echo("|a=%d L=%s ML=%s> = %s"
-                       % (a, l, ml, _fmt_terms(bs.vector((a, l, ml)))))
+    names = ("MS", "k", "T", "MT") if chain == "isospin" else ("a", "L", "ML")
+    bs = _BRACKETS[chain][0](_parse_irrep(g))
+    for key in bs.labels():
+        label = " ".join("%s=%s" % pair for pair in zip(names, key))
+        click.echo("|%s> = %s" % (label, _fmt_terms(bs.vector(key))))
 
 
 def _irreps_up_to(max_r):
@@ -275,18 +275,13 @@ def tabulate(max_r, chain, jobs, store_path):
                % (len(work), skipped, store_path))
 
 
-# per table chain: its irreps' brackets and their check
-_BRACKETS = {
-    "isospin": (chain2_brackets, verify_chain2_brackets),
-    "angmom": (chain3_brackets, verify_chain3_brackets),
-}
-
-
 def _verify_record(key, payload, checked):
     """Problems of the record stored under key, whose coupling is solved
     afresh: the block must pass verify_block, a chain table's irreps
-    their bracket check (once per run: checked maps (chain, irrep) to
-    its problems), and the stored payload must equal the derived one."""
+    their bracket check, and the stored payload must equal the derived
+    one.  Each check runs once per run: checked maps a coupling
+    (g1, g2, g) to its (block, problems) and (chain, irrep) to the
+    irrep's bracket problems."""
     try:
         chain, *labels = parse_key(key)
         irreps = [So5Irrep.parse(s) for s in labels]
@@ -294,9 +289,13 @@ def _verify_record(key, payload, checked):
         return [str(e)]
     if chain not in CHAINS or [str(t) for t in irreps] != labels:
         return ["%r is not a canonical record key" % key]
-    system = build_system(*irreps)
-    block = solve_isoscalars(*irreps, system=system)
-    problems = verify_block(block, system)
+    coupling = tuple(irreps)
+    if coupling not in checked:
+        system = build_system(*irreps)
+        block = solve_isoscalars(*irreps, system=system)
+        checked[coupling] = block, verify_block(block, system)
+    block, problems = checked[coupling]
+    problems = list(problems)
     if chain in _BRACKETS:
         brackets, check = _BRACKETS[chain]
         for g in dict.fromkeys(irreps):

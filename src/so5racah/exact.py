@@ -226,11 +226,6 @@ class RadicalSum:
     # -- constructors
 
     @staticmethod
-    def from_rational(q):
-        num, den = _rational_pair(q)
-        return RadicalSum({1: (num, den)} if num else {})
-
-    @staticmethod
     def of(*radicals):
         out = {}
         for x in radicals:

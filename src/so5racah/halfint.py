@@ -45,8 +45,10 @@ class HalfInt:
         """Parse "2", "-1/2", "3/2"."""
         s = s.strip()
         if "/" in s:
-            num, den = s.split("/", 1)
-            return HalfInt.make(Fraction(int(num), int(den)))
+            num, den = (int(x) for x in s.split("/", 1))
+            if not den:
+                raise ValueError("zero denominator in %r" % s)
+            return HalfInt.make(Fraction(num, den))
         return HalfInt.make(int(s))
 
     # -- arithmetic (results are HalfInt; other may be int or HalfInt)

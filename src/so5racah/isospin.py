@@ -3,7 +3,7 @@ needs to build its brackets and tables.
 
 A chain (II) basis state lives at a single weight point (M_X, M_Y) of
 the SO(5) irrep, relabeled by M_S = M_X + M_Y and M_T = M_X - M_Y.
-M_S is the sector; T_- = 2 T_{-+} lowers M_T along one M_S diagonal.
+(M_S,) is the sector; T_- = 2 T_{-+} lowers M_T along one M_S diagonal.
 The laddering, the T.T check and the coefficient transformation are
 the ones of `chains`.
 """
@@ -71,18 +71,14 @@ def chain2_branch(g):
 # -- brackets and tables ---------------------------------------------------
 
 def chain2_level(state):
-    """(M_S, M_T) of a weight basis state."""
+    """((M_S,), M_T) of a weight basis state."""
     _, mx, my = state
-    return mx + my, mx - my
+    return (mx + my,), mx - my
 
 
 def chain2_lowering(g, basis):
     """T_- = 2 T_{-+} over the weight basis of g."""
     return op_scale(2, primitive(g, basis, "T-+"))
-
-
-def _split(key):
-    return key
 
 
 @lru_cache(maxsize=None)
@@ -97,8 +93,7 @@ def chain2_brackets(g):
 def verify_chain2_brackets(g, bs):
     """Unitarity and T.T eigen-relation report; empty list means clean."""
     basis = weight_basis(g)
-    return verify_brackets(bs, basis, chain2_level,
-                           chain2_lowering(g, basis), _split)
+    return verify_brackets(bs, basis, chain2_level, chain2_lowering(g, basis))
 
 
 Chain2Row = namedtuple("Chain2Row", "ms1 k1 t1 ms2 k2 t2 ms k t values")
@@ -111,7 +106,6 @@ def chain2_transform(block):
     ascending; values holds one entry per outer multiplicity rho.
     """
     return transform(
-        block, chain2_brackets, _split,
-        lambda a, b, c, values: Chain2Row(*a, *b, *c, values),
+        block, chain2_brackets, Chain2Row,
         lambda r: (-r.ms1.twice, -r.ms2.twice, r.t1.twice, r.t2.twice,
                    r.t.twice, r.k1, r.k2, r.k))

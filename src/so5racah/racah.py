@@ -11,7 +11,7 @@ conventions pin the coefficient vectors.
 """
 
 from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankDefect
-from .exact import RS_ZERO, RadicalSum
+from .exact import RS_ONE, RS_ZERO
 from .linalg import ExactMatrix, gram_schmidt, vec_dot
 from .so4 import HALFHALF, so4_kronecker, so4_phi, so4_triangle, so4_usixj
 from .so5 import generator_rmes, so5_branch_so4, so5_kronecker
@@ -202,7 +202,6 @@ def solve_isoscalars(g1, g2, g, system=None):
     D = len(basis)
 
     meta = dict(CONVENTIONS)
-    meta["augmented_rows"] = system.n_augmented
     meta["sign_fallback"] = False
 
     # every label group must see the same Gram matrix M; orthonormalizing
@@ -235,15 +234,14 @@ def solve_isoscalars(g1, g2, g, system=None):
     return IsoscalarBlock(g1, g2, g, columns, vectors, meta)
 
 
-def verify_block(block, system=None):
+def verify_block(block, system):
     """Exactness report: row annihilation and bra-sum orthonormality.
 
-    The block must come from solve_isoscalars on this coupling (its
-    columns are the system's).  Returns failure strings; empty is clean.
+    system is the coupling's build_system, and the block must come from
+    solve_isoscalars on it (its columns are the system's).  Returns
+    failure strings; empty is clean.
     """
     fails = []
-    if system is None:
-        system = build_system(block.g1, block.g2, block.g)
     for rho, v in enumerate(block.vectors, start=1):
         for k, resid in enumerate(system.matrix.matvec(v)):
             if not resid.is_zero():
@@ -255,8 +253,7 @@ def verify_block(block, system=None):
         for a in range(D):
             for b in range(a, D):
                 s = gram[a][b]
-                want = RadicalSum.from_rational(1 if a == b else 0)
-                if s != want:
+                if s != (RS_ONE if a == b else RS_ZERO):
                     fails.append("bra-sum at %s: <%d|%d> = %s" % (lam, a + 1, b + 1, s))
     return fails
 
@@ -306,8 +303,7 @@ def verify_series(g1, g2, blocks=None):
             for b in range(a, n):
                 s = vec_dot([rows[r][a] for r in range(n)],
                             [rows[r][b] for r in range(n)])
-                want = RadicalSum.from_rational(1 if a == b else 0)
-                if s != want:
+                if s != (RS_ONE if a == b else RS_ZERO):
                     fails.append("ket-sum at %s: columns %d,%d give %s"
                                  % (lam, a, b, s))
     return fails

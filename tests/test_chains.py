@@ -3,7 +3,8 @@
 
 The digests were taken from the two hand-written laddering loops the
 engine replaced, so they pin keys, key order, term order and every
-rendered value of the brackets.
+rendered value of the brackets.  Each key is also checked to be its
+chain's row labels plus m, which `chains.transform` relies on.
 """
 
 import hashlib
@@ -11,7 +12,11 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
+from so5racah.angmom import chain3_brackets
 from so5racah.cli import main
+from so5racah.halfint import HalfInt, mrange
+from so5racah.isospin import chain2_brackets
+from so5racah.so5 import So5Irrep
 
 DIGESTS = {
     ("isospin", "(0,0)"):
@@ -82,3 +87,15 @@ def test_brackets_output_frozen(chain, g):
     r = CliRunner().invoke(main, ["brackets", "--g", g, "--chain", chain])
     assert r.exit_code == 0, r.output
     assert hashlib.sha256(r.output.encode()).hexdigest() == DIGESTS[(chain, g)]
+
+
+@pytest.mark.parametrize("g", sorted({g for _, g in DIGESTS}))
+def test_bracket_keys_are_row_labels(g):
+    # a key is sector + (k, j, m): the labels of its chain's rows plus m
+    irrep = So5Irrep.parse(g)
+    shapes = ((chain2_brackets, (HalfInt, int, HalfInt, HalfInt)),
+              (chain3_brackets, (int, HalfInt, HalfInt)))
+    for brackets, shape in shapes:
+        for key in brackets(irrep).labels():
+            assert tuple(map(type, key)) == shape, key
+            assert key[-1] in mrange(key[-2]), key

@@ -119,6 +119,20 @@ def test_exit_code_bad_irrep():
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("couple", "--g1", "(1/0,0)", "--g2", "(1/2,0)", "--g", "(1/2,0)"),
+    ("transform", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,1/0)",
+     "--to", "isospin"),
+    ("brackets", "--g", "(1/0,0)", "--chain", "angmom"),
+    ("branch", "--g", "(1,0)", "--chain", "isospin", "--ms", "1/0"),
+    ("tabulate", "--max-r", "1/0"),
+], ids=["couple", "transform", "brackets", "branch", "tabulate"])
+def test_zero_denominator_is_a_usage_error(tmp_path, args):
+    r = run(*args, env={"SO5RACAH_STORE": str(tmp_path / "st")})
+    assert r.exit_code == 2, r.output
+    assert "zero denominator" in r.output
+
+
 def test_exit_code_not_in_series():
     r = run("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(1,1)")
     assert r.exit_code == 3
@@ -294,7 +308,8 @@ def test_verify_rederives_the_record_its_key_names(tmp_path):
 @pytest.mark.parametrize("bad", [
     "so4|junk",
     "so4|(1/2, 0) x (1/2,0) -> (0,0)",
-], ids=["junk", "non-canonical"])
+    "so4|(1/0,0) x (1/2,0) -> (0,0)",
+], ids=["junk", "non-canonical", "zero-denominator"])
 def test_verify_reports_bad_key(tmp_path, bad):
     # an index key that record_key would not write is one FAIL line, even
     # when it points at a valid record of the coupling it spells
@@ -437,6 +452,43 @@ def test_verify_assembles_each_block_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_system", counting, raising=False)
     v = run("verify", "--store", store)
     assert v.exit_code == 0, v.output
+    assert len(calls) == 1
+
+
+def test_verify_solves_each_coupling_once(tmp_path, monkeypatch):
+    # one coupling stored in all three chains is solved once per run; a
+    # record that differs from the derived one fails alone
+    from so5racah import cli
+    store = str(tmp_path / "st")
+    labels = ("--g1", "(1,0)", "--g2", "(1,1/2)", "--g", "(1,1/2)")
+    for chain in cli.CHAINS:
+        r = run("couple", "--chain", chain, *labels, "--store", store)
+        assert r.exit_code == 0
+    st = Store(store)
+    key = "angmom|(1,0) x (1,1/2) -> (1,1/2)"
+    payload = st.read_record(key)["payload"]
+    values = payload["rows"][0]["values"]
+    values[0] = render_value(-parse_value(values[0]))
+    st.write_record(key, payload)
+    st.flush_index()
+    calls = []
+    build = cli.build_system
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(cli, "build_system", counting)
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1, v.output
+    assert v.output.splitlines() == [
+        "FAIL " + key,
+        "     - record differs from the one re-derived from the coupling "
+        "its key names",
+        "ok   isospin|(1,0) x (1,1/2) -> (1,1/2)",
+        "ok   so4|(1,0) x (1,1/2) -> (1,1/2)",
+        "3 records checked, 1 failed",
+    ]
     assert len(calls) == 1
 
 

@@ -25,6 +25,12 @@ def test_make_and_parse():
         hi(0.5)
 
 
+def test_parse_rejects_zero_denominator():
+    # a ValueError, which the CLI reports as a usage error
+    with pytest.raises(ValueError, match="zero denominator"):
+        HalfInt.parse("1/0")
+
+
 def test_arithmetic_and_ordering():
     a = hi(Fraction(3, 2))
     b = hi(1)
