@@ -75,8 +75,8 @@ def _payload(chain, block):
 def _rendered(store_path, chain, g1, g2, g, fmt, digits):
     """One coupling's record rendered: read from the store if it holds
     the key, else solved (and written to the store if one is given).
-    A stored record that does not render, or that holds another
-    coupling than its key names, is a store error."""
+    A stored record that fails the store's checked read or does not
+    render is a store error."""
     st = None if store_path is None else Store(store_path)
     key = record_key(chain, str(g1), str(g2), str(g))
     if st is None or st.hash_for(key) is None:
@@ -85,11 +85,8 @@ def _rendered(store_path, chain, g1, g2, g, fmt, digits):
             st.write_record(key, payload)
             st.flush_index()
         return render_record(payload, fmt, digits)
+    payload = st.read_record(key)["payload"]
     try:
-        payload = st.read_record(key)["payload"]
-        named = record_key(*(payload[f] for f in ("chain", "g1", "g2", "g")))
-        if named != key:
-            raise ValueError("it holds %r" % named)
         return render_record(payload, fmt, digits)
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise StoreError("record %r is unusable: %s" % (key, e)) from None
@@ -98,9 +95,12 @@ def _rendered(store_path, chain, g1, g2, g, fmt, digits):
 def _emit(text, output):
     if output is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(output, "w") as f:
             f.write(text)
+    except OSError as e:
+        raise click.UsageError("cannot write %s: %s" % (output, e.strerror))
 
 
 @click.group()
@@ -246,6 +246,8 @@ def tabulate(max_r, chain, jobs, store_path):
     once, in sorted key order.
     """
     bound = _parse_halfint(max_r)
+    if bound.twice < 0:
+        raise click.UsageError("--max-r must not be negative, got %s" % bound)
     st = Store(store_path)
     have = st.index()
     irreps = _irreps_up_to(bound)
@@ -325,14 +327,10 @@ def verify(store_path):
     checked = {}
     for key in keys:
         try:
-            payload, problems = st.check_record(key)
-        except StoreError as e:
-            payload, problems = None, [str(e)]
-        if payload is not None and not problems:
-            try:
-                problems = _verify_record(key, payload, checked)
-            except So5Error as e:
-                problems = [str(e)]
+            problems = _verify_record(key, st.read_record(key)["payload"],
+                                      checked)
+        except So5Error as e:
+            problems = [str(e)]
         click.echo("%s %s" % ("ok  " if not problems else "FAIL", key))
         for p in problems:
             click.echo("     - %s" % p)

@@ -67,89 +67,49 @@ class So5Irrep:
 
 # -- labeling schemes ------------------------------------------------------
 
-SCHEMES = ("hw", "cartan", "dynkin", "dynkin-modified", "sp4-cartan", "sp4-dynkin")
+# Each scheme is a linear map of the doubled Cartan labels (tl1, tl2), in
+# quarters: row ((p, q), (r, s)) gives a = (p*tl1 + q*tl2)/4 and
+# b = (r*tl1 + s*tl2)/4.  The irreps are the integers tl1 >= tl2 >= 0 with
+# tl1 - tl2 even (l1 - l2 an integer), so (a, b) names an irrep exactly
+# when the inverse map sends it to one: that test is every scheme's rule.
+_SCHEME_MAPS = {
+    "hw": ((1, 1), (1, -1)),               # (R, S) = ((l1+l2)/2, (l1-l2)/2)
+    "cartan": ((2, 0), (0, 2)),            # [l1, l2]
+    "dynkin": ((2, -2), (0, 4)),           # (l1-l2, 2*l2)
+    "dynkin-modified": ((2, -2), (0, 2)),  # (l1-l2, l2)
+    "sp4-cartan": ((2, 2), (2, -2)),       # <l1+l2, l1-l2>
+    "sp4-dynkin": ((0, 4), (2, -2)),       # (2*l2, l1-l2)
+}
+
+SCHEMES = tuple(_SCHEME_MAPS)
 
 
 def _to_cartan(a, b, scheme):
     """(a, b) in the given scheme -> doubled Cartan labels (2*l1, 2*l2)."""
-    a = Fraction(a)
-    b = Fraction(b)
-
-    def ints(*vals):
-        if any(v.denominator != 1 for v in vals):
-            raise OutOfRange("labels (%s,%s) must be integers for scheme %s"
-                             % (a, b, scheme))
-
-    def halves(*vals):
-        if any((2 * v).denominator != 1 for v in vals):
-            raise OutOfRange("labels (%s,%s) must be half-integers" % (a, b))
-
-    if scheme == "cartan":
-        halves(a, b)
-        tl1, tl2 = int(2 * a), int(2 * b)
-        if not (tl1 >= tl2 >= 0) or (tl1 - tl2) % 2:
-            raise OutOfRange("bad cartan labels [%s,%s]" % (a, b))
-    elif scheme == "hw":
-        halves(a, b)
-        if not (2 * a >= 2 * b >= 0):
-            raise OutOfRange("bad hw labels (%s,%s)" % (a, b))
-        tl1, tl2 = int(2 * (a + b)), int(2 * (a - b))
-    elif scheme == "dynkin":
-        ints(a, b)
-        if a < 0 or b < 0:
-            raise OutOfRange("bad dynkin labels (%s,%s)" % (a, b))
-        tl2 = int(b)          # a2 = 2*l2
-        tl1 = 2 * int(a) + tl2  # a1 = l1 - l2
-    elif scheme == "dynkin-modified":
-        halves(b)
-        ints(a)
-        if a < 0 or b < 0:
-            raise OutOfRange("bad modified labels (%s,%s)" % (a, b))
-        tl2 = int(2 * b)      # f = l2
-        tl1 = 2 * int(a) + tl2  # v = l1 - l2
-    elif scheme == "sp4-cartan":
-        ints(a, b)
-        if not (a >= b >= 0):
-            raise OutOfRange("bad sp4-cartan labels <%s,%s>" % (a, b))
-        # l1' = l1 + l2 = 2R and l2' = l1 - l2 = 2S, so any integer
-        # pair with a >= b >= 0 is an irrep (spinor irreps of SO(5)
-        # carry mixed-parity labels here)
-        tl1 = int(a + b)
-        tl2 = int(a - b)
-    elif scheme == "sp4-dynkin":
-        ints(a, b)
-        if a < 0 or b < 0:
-            raise OutOfRange("bad sp4-dynkin labels (%s,%s)" % (a, b))
-        tl2 = int(a)          # a1' = 2*l2
-        tl1 = 2 * int(b) + tl2  # a2' = l1 - l2
-    else:
-        raise OutOfRange("unknown scheme %r" % scheme)
-    if not (tl1 >= tl2 >= 0):
-        raise OutOfRange("labels (%s,%s) leave the dominant chamber" % (a, b))
-    return tl1, tl2
+    (p, q), (r, s) = _SCHEME_MAPS[scheme]
+    a, b = Fraction(a), Fraction(b)
+    det = p * s - q * r
+    tl1, tl2 = 4 * (s * a - q * b) / det, 4 * (p * b - r * a) / det
+    if tl1.denominator != 1 or tl2.denominator != 1 \
+            or not (tl1 >= tl2 >= 0) or (tl1 - tl2) % 2:
+        raise OutOfRange("(%s,%s) is not an irrep label of scheme %s"
+                         % (a, b, scheme))
+    return int(tl1), int(tl2)
 
 
 def _from_cartan(tl1, tl2, scheme):
-    if scheme == "cartan":
-        return Fraction(tl1, 2), Fraction(tl2, 2)
-    if scheme == "hw":
-        return Fraction(tl1 + tl2, 4), Fraction(tl1 - tl2, 4)
-    if scheme == "dynkin":
-        return Fraction(tl1 - tl2, 2), Fraction(tl2)
-    if scheme == "dynkin-modified":
-        return Fraction(tl1 - tl2, 2), Fraction(tl2, 2)
-    if scheme == "sp4-cartan":
-        return Fraction(tl1 + tl2, 2), Fraction(tl1 - tl2, 2)
-    if scheme == "sp4-dynkin":
-        return Fraction(tl2), Fraction(tl1 - tl2, 2)
-    raise OutOfRange("unknown scheme %r" % scheme)
+    (p, q), (r, s) = _SCHEME_MAPS[scheme]
+    return Fraction(p * tl1 + q * tl2, 4), Fraction(r * tl1 + s * tl2, 4)
 
 
 def convert_label(a, b, scheme, target):
     """Convert an irrep label between schemes; values as Fractions."""
+    for name in (scheme, target):
+        if name not in _SCHEME_MAPS:
+            raise OutOfRange("unknown scheme %r" % name)
     tl1, tl2 = _to_cartan(a, b, scheme)
     out = _from_cartan(tl1, tl2, target)
-    # every scheme must represent the result with its own integrality rules
+    # the inverse map must lead back: a self-check of the table
     chk1, chk2 = _to_cartan(out[0], out[1], target)
     if (chk1, chk2) != (tl1, tl2):
         raise InternalInconsistency("round trip failed for %s" % ((a, b, scheme),))

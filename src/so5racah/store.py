@@ -10,6 +10,9 @@ where the hash is sha256 over the canonical JSON bytes of the payload
 alone.  Payloads carry their convention flags, so records produced under
 different conventions never collide on a hash.  Writes go through a temp
 file and os.replace, so a crashed run leaves no half-written record.
+Reads are checked: an index hash must be a sha256 hex digest, and
+Store.read_record, the one reader of record files, returns a record only
+if its hash matches the index and meta hashes and its labels make its key.
 """
 
 import hashlib
@@ -43,20 +46,47 @@ def payload_hash(payload):
     return hashlib.sha256(canonical_json(payload)).hexdigest()
 
 
+def _sha256_hex(hashes):
+    """Whether every hash is 64 lowercase hex digits; checked over all at
+    once, as a regex per hash tripled the time to open a 327-key store."""
+    if not (set(map(type, hashes)) <= {str} and set(map(len, hashes)) <= {64}):
+        return False
+    joined = "".join(hashes)
+    return joined.isascii() and not joined.encode().translate(
+        None, b"0123456789abcdef")
+
+
 def _index_records(data, path):
-    """The key -> hash map of a loaded index; StoreError unless the
-    index is an object of the current schema whose records map str to
-    str."""
+    """The key -> hash map of a loaded index; StoreError unless the index
+    is an object of the current schema whose records map keys (JSON keys
+    are strings) to sha256 hex digests, as a hash becomes a file name."""
     if not isinstance(data, dict):
         raise StoreError("index %s is not a JSON object" % path)
     if data.get("schema") != INDEX_SCHEMA:
         raise StoreError("unexpected index schema %r" % data.get("schema"))
     records = data.get("records")
-    if not isinstance(records, dict) or not all(
-            isinstance(k, str) and isinstance(h, str) for k, h in records.items()):
-        raise StoreError("index %s: records is not an object of key -> hash "
-                         "strings" % path)
+    if not isinstance(records, dict) or not _sha256_hex(records.values()):
+        raise StoreError("index %s: records is not an object of key -> "
+                         "sha256 hex strings" % path)
     return records
+
+
+def _record_problem(key, h, record):
+    """The first problem of a record filed under key with index hash h, or
+    None: it must be an object with an object payload whose content hash
+    matches h and the meta hash and whose chain, g1, g2 and g make key."""
+    if not isinstance(record, dict) or not isinstance(record.get("payload"), dict):
+        return "not an object with an object payload"
+    payload = record["payload"]
+    actual = payload_hash(payload)
+    if actual != h:
+        return "content hash %s does not match index entry %s" % (actual[:12], h[:12])
+    meta = record.get("meta")
+    if not isinstance(meta, dict) or meta.get("hash") != actual:
+        return "stored meta hash does not match payload"
+    named = record_key(*map(payload.get, ("chain", "g1", "g2", "g")))
+    if named != key:
+        return "it holds %r" % named
 
 
 class Store:
@@ -94,19 +124,21 @@ class Store:
         return os.path.join(self.records_dir, h + ".json")
 
     def read_record(self, key):
-        """Load the record for a key; raises StoreError if absent/unreadable."""
+        """The record filed under key; StoreError if it cannot be read or
+        _record_problem finds a problem in it."""
         h = self.hash_for(key)
         if h is None:
             raise StoreError("no record for key %r" % key)
-        return self.read_record_file(h)
-
-    def read_record_file(self, h):
         path = self.record_path(h)
         try:
             with open(path, "rb") as f:
-                return json.load(f)
+                record = json.load(f)
         except (OSError, ValueError) as e:
-            raise StoreError("cannot read record %s: %s" % (path, e))
+            raise StoreError("cannot read record %s of %r: %s" % (path, key, e))
+        problem = _record_problem(key, h, record)
+        if problem:
+            raise StoreError("record %r: %s" % (key, problem))
+        return record
 
     def write_record(self, key, payload):
         """Write a payload under a key; returns the content hash.
@@ -143,23 +175,3 @@ class Store:
                     os.unlink(tmp)
         except OSError as e:
             raise StoreError("cannot write %s: %s" % (path, e))
-
-    # -- integrity ---------------------------------------------------------
-
-    def check_record(self, key):
-        """Hash integrity for one key: recompute payload hash, compare with
-        the index entry and the stored meta hash.  Returns (payload, problems)."""
-        problems = []
-        h = self.hash_for(key)
-        record = self.read_record_file(h)
-        if not isinstance(record, dict) or not isinstance(record.get("payload"), dict):
-            return None, ["record is not an object with an object payload"]
-        payload = record["payload"]
-        actual = payload_hash(payload)
-        if actual != h:
-            problems.append("content hash %s does not match index entry %s"
-                            % (actual[:12], h[:12]))
-        meta = record.get("meta")
-        if not isinstance(meta, dict) or meta.get("hash") != actual:
-            problems.append("stored meta hash does not match payload")
-        return payload, problems

@@ -61,6 +61,18 @@ def test_couple_output_file(tmp_path):
     assert out.read_text().startswith("X1,Y1,")
 
 
+@pytest.mark.parametrize("command", [
+    ("couple",), ("transform", "--to", "angmom"),
+], ids=["couple", "transform"])
+def test_output_into_missing_directory_is_a_usage_error(tmp_path, command):
+    out = str(tmp_path / "no-such-dir" / "x.txt")
+    r = run(*command, "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+            "--output", out)
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert out in r.output
+
+
 def test_transform_isospin():
     r = run("transform", "--g1", "(1/2,1/2)", "--g2", "(1/2,0)",
             "--g", "(1/2,0)", "--to", "isospin")
@@ -119,18 +131,24 @@ def test_exit_code_bad_irrep():
     assert r.exit_code == 2
 
 
-@pytest.mark.parametrize("args", [
-    ("couple", "--g1", "(1/0,0)", "--g2", "(1/2,0)", "--g", "(1/2,0)"),
-    ("transform", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,1/0)",
-     "--to", "isospin"),
-    ("brackets", "--g", "(1/0,0)", "--chain", "angmom"),
-    ("branch", "--g", "(1,0)", "--chain", "isospin", "--ms", "1/0"),
-    ("tabulate", "--max-r", "1/0"),
-], ids=["couple", "transform", "brackets", "branch", "tabulate"])
-def test_zero_denominator_is_a_usage_error(tmp_path, args):
+@pytest.mark.parametrize("args, message", [
+    (("couple", "--g1", "(1/0,0)", "--g2", "(1/2,0)", "--g", "(1/2,0)"),
+     "zero denominator"),
+    (("transform", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,1/0)",
+      "--to", "isospin"), "zero denominator"),
+    (("brackets", "--g", "(1/0,0)", "--chain", "angmom"), "zero denominator"),
+    (("branch", "--g", "(1,0)", "--chain", "isospin", "--ms", "1/0"),
+     "zero denominator"),
+    (("tabulate", "--max-r", "1/0"), "zero denominator"),
+    (("tabulate", "--max-r", "-1"), "must not be negative"),
+], ids=["couple", "transform", "brackets", "branch", "tabulate",
+        "tabulate-negative"])
+def test_zero_denominator_is_a_usage_error(tmp_path, args, message):
+    # so is a negative --max-r, which would otherwise tabulate nothing
     r = run(*args, env={"SO5RACAH_STORE": str(tmp_path / "st")})
     assert r.exit_code == 2, r.output
-    assert "zero denominator" in r.output
+    assert message in r.output
+    assert not os.path.exists(tmp_path / "st")
 
 
 def test_exit_code_not_in_series():
@@ -156,7 +174,8 @@ def test_verify_without_store_is_an_error(tmp_path):
     [],
     {"schema": "so5racah-store@1"},
     {"schema": "so5racah-store@1", "records": {"k": 5}},
-], ids=["list", "no-records", "non-string-hash"])
+    {"schema": "so5racah-store@1", "records": {"k": "../../elsewhere/rec"}},
+], ids=["list", "no-records", "non-string-hash", "non-hex-hash"])
 @pytest.mark.parametrize("command", [
     ("verify",),
     ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)"),
@@ -247,6 +266,32 @@ def test_unrenderable_stored_value_is_a_store_error(tmp_path, command, chain,
     r = run(*args)
     assert r.exit_code == 4, r.output
     assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output and key in r.output
+
+
+@pytest.mark.parametrize("command, chain", [
+    (("couple", "--chain", "so4"), "so4"),
+    (("transform", "--to", "isospin"), "isospin"),
+], ids=["couple", "transform"])
+def test_unhashed_edit_is_a_store_error(tmp_path, command, chain):
+    # a record edited by hand without re-hashing is not served
+    args = command + ("--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+                      "--store", str(tmp_path / "st"))
+    assert run(*args).exit_code == 0
+    st = Store(str(tmp_path / "st"))
+    key = "%s|(1/2,0) x (1/2,0) -> (0,0)" % chain
+    path = st.record_path(st.hash_for(key))
+    with open(path) as f:
+        record = json.load(f)
+    if chain == "so4":
+        record["payload"]["vectors"][0][0] = "sqrt(1/7)"
+    else:
+        record["payload"]["rows"][0]["values"][0] = "sqrt(1/7)"
+    with open(path, "w") as f:
+        json.dump(record, f)
+    r = run(*args)
+    assert r.exit_code == 4, r.output
+    assert "sqrt(1/7)" not in r.output
     assert "store error" in r.output and key in r.output
 
 

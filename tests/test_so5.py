@@ -74,6 +74,49 @@ def test_scheme_range_violations():
         convert_label(1, 0, "no-such-scheme", "hw")
 
 
+def _int(x):
+    return x.denominator == 1
+
+
+def _half(x):
+    return (2 * x).denominator == 1
+
+
+# each scheme's published rule, stated on its own labels
+PUBLISHED_RULES = {
+    # (R, S): half-integers, R >= S >= 0
+    "hw": lambda a, b: _half(a) and _half(b) and a >= b >= 0,
+    # [l1, l2]: half-integers, l1 >= l2 >= 0, l1 - l2 an integer
+    "cartan": lambda a, b: _half(a) and _half(b) and a >= b >= 0
+    and _int(a - b),
+    # (a1, a2): nonnegative integers
+    "dynkin": lambda a, b: _int(a) and _int(b) and a >= 0 and b >= 0,
+    # (l1 - l2, l2): a nonnegative integer and a nonnegative half-integer
+    "dynkin-modified": lambda a, b: _int(a) and _half(b) and a >= 0
+    and b >= 0,
+    # <l1', l2'>: integers, l1' >= l2' >= 0
+    "sp4-cartan": lambda a, b: _int(a) and _int(b) and a >= b >= 0,
+    # (a1', a2'): nonnegative integers
+    "sp4-dynkin": lambda a, b: _int(a) and _int(b) and a >= 0 and b >= 0,
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scheme_accepts_exactly_its_published_labels(scheme):
+    grid = [Fraction(k, 4) for k in range(-4, 17)]
+    accepted = 0
+    for a in grid:
+        for b in grid:
+            try:
+                convert_label(a, b, scheme, "hw")
+                ok = True
+            except OutOfRange:
+                ok = False
+            assert ok == PUBLISHED_RULES[scheme](a, b), (a, b)
+            accepted += ok
+    assert accepted >= 10
+
+
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_scheme_round_trips(tr, ts):
     if ts > tr:

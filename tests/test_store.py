@@ -41,8 +41,6 @@ def test_write_read_round_trip(tmp_path, payload):
     rec = st2.read_record(KEY)
     assert rec["payload"] == payload
     assert rec["meta"]["hash"] == h
-    _, problems = st2.check_record(KEY)
-    assert problems == []
 
 
 def test_content_addressing_is_idempotent(tmp_path, payload):
@@ -97,10 +95,8 @@ def test_bit_flip_detected(tmp_path, payload):
     raw["payload"]["g1"] = "(9,9)"
     with open(path, "w") as f:
         f.write(canonical_json(raw).decode())
-    st2 = Store(str(tmp_path / "s"))
-    _, problems = st2.check_record(KEY)
-    assert problems
-    assert any("hash" in p for p in problems)
+    with pytest.raises(StoreError, match="content hash"):
+        Store(str(tmp_path / "s")).read_record(KEY)
 
 
 def test_hash_covers_conventions(payload):
