@@ -12,7 +12,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .chains import BracketSet, ladder, op_add, op_compose, op_scale, \
+from .chains import ladder, op_add, op_compose, op_scale, \
     primitive, transform, verify_brackets, weight_basis
 from .errors import InternalInconsistency
 from .exact import Radical
@@ -103,13 +103,12 @@ def chain3_brackets(g):
     Built once per irrep per process; the set is shared and read-only,
     and cache_clear() drops it."""
     basis = weight_basis(g)
-    return BracketSet(ladder(basis, chain3_level, chain3_lowering(g, basis)))
+    return ladder(basis, chain3_level, chain3_lowering(g, basis))
 
 
 def verify_chain3_brackets(g, bs):
     """Unitarity per M_L level and the L.L eigen-relation; list of problems."""
-    basis = weight_basis(g)
-    return verify_brackets(bs, basis, chain3_level, chain3_lowering(g, basis))
+    return verify_brackets(bs, chain3_level, chain3_lowering(g, bs.basis))
 
 
 Chain3Row = namedtuple("Chain3Row", "a1 l1 a2 l2 a l values")

@@ -11,8 +11,11 @@ lowering operator, a sparse matrix over the weight basis, maps level
 them, and the coefficient transformation follow from these alone.  A
 bracket key is sector + (k, j, m), which is the chain's own label.
 
-Sparse matrices are column-major: mat[j] is a dict {i: value} so that
-(M v)[i] = sum_j mat[j][i] * v[j].
+Inside the engine a state is its position in the irrep's weight basis:
+bracket vectors, operator columns and the transform's memo tables are
+sparse over positions, and BracketSet.vector alone names the canonical
+states.  Sparse matrices are column-major: mat[j] is a dict {i: value}
+so that (M v)[i] = sum_j mat[j][i] * v[j].
 """
 
 from collections import Counter
@@ -29,51 +32,64 @@ from .su2 import su2_cg
 
 
 class BracketSet:
-    """Chain basis vectors expanded over canonical basis states.
+    """Chain basis vectors of one irrep expanded over its canonical states.
 
-    entries maps a chain label tuple to a tuple of
-    ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs.  Chain (II) labels are
-    (M_S, kappa, T, M_T); chain (III) labels are (alpha, L, M_L).  It is
-    a read-only view, because the chain modules cache one set per irrep
-    and hand the same object to every caller.
+    basis is the irrep's weight basis, a tuple of (So4Irrep, M_X, M_Y).
+    entries maps a chain label tuple to a tuple of (position in basis,
+    RadicalSum) pairs sorted by position; vector(key) names the states,
+    as ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs.  Chain (II) labels
+    are (M_S, kappa, T, M_T); chain (III) labels are (alpha, L, M_L).
+    entries is a read-only view, because the chain modules cache one set
+    per irrep and hand the same object to every caller.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("basis", "entries")
 
-    def __init__(self, entries):
+    def __init__(self, basis, entries):
+        self.basis = tuple(basis)
         self.entries = MappingProxyType(entries)
 
     def labels(self):
         return list(self.entries)
 
     def vector(self, key):
-        return self.entries[key]
+        return tuple(((self.basis[i][0], self.basis[i][1:]), v)
+                     for i, v in self.entries[key])
 
 
 def weight_basis(g):
     """Weight basis (lam, M_X, M_Y) ordered by (label, M_X, M_Y)."""
-    out = []
-    for lam in so5_branch_so4(g):
-        for mx in mrange(lam.X):
-            for my in mrange(lam.Y):
-                out.append((lam, mx, my))
+    return tuple((lam,) + w for lam in so5_branch_so4(g) for w in lam.weights())
+
+
+# -- sparse vectors and matrices -------------------------------------------
+
+def _axpy(out, c, vec):
+    """out += c * vec over sparse dicts, dropping the entries that cancel;
+    returns out."""
+    for i, v in vec.items():
+        s = out.get(i, RS_ZERO) + c * v
+        if s.is_zero():
+            out.pop(i, None)
+        else:
+            out[i] = s
     return out
 
 
-# -- sparse matrices -------------------------------------------------------
+def _dot(terms, vec):
+    """sum c * vec[i] over the (i, c) pairs of terms, vec a sparse dict."""
+    total = RS_ZERO
+    for i, c in terms:
+        d = vec.get(i)
+        if d is not None:
+            total = total + c * d
+    return total
+
 
 def op_apply(mat, vec):
     out = {}
     for j, c in vec.items():
-        col = mat.get(j)
-        if not col:
-            continue
-        for i, a in col.items():
-            v = out.get(i, RS_ZERO) + a * c
-            if v.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = v
+        _axpy(out, c, mat.get(j, {}))
     return out
 
 
@@ -90,14 +106,7 @@ def op_add(*mats):
     out = {}
     for m in mats:
         for j, col in m.items():
-            dst = out.setdefault(j, {})
-            for i, v in col.items():
-                s = dst.get(i, RS_ZERO) + v
-                if s.is_zero():
-                    dst.pop(i, None)
-                else:
-                    dst[i] = s
-            if not dst:
+            if not _axpy(out.setdefault(j, {}), RS_ONE, col):
                 del out[j]
     return out
 
@@ -176,9 +185,9 @@ def ladder(basis, level, lower):
     completion starting a new multiplet j = m.  The number of new
     multiplets is the growth of the level size from m+1 to m.
 
-    Returns {sector + (k, j, m): terms} in creation order, sectors
-    descending, k numbering the multiplets of equal (sector, j), terms
-    the ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs in basis order.
+    Returns the BracketSet over basis keyed sector + (k, j, m) in
+    creation order, sectors descending, k numbering the multiplets of
+    equal (sector, j).
     """
     levels = {}
     for i, state in enumerate(basis):
@@ -186,7 +195,7 @@ def ladder(basis, level, lower):
     entries = {}
     for sector in sorted({sec for sec, _ in levels}, reverse=True):
         top = max(m for sec, m in levels if sec == sector)
-        live = []  # (j, k, vec) with vec a dict basis index -> RadicalSum
+        live = []  # (j, k, vec) with vec a dict position -> RadicalSum
         for tm in range(top.twice, -top.twice - 1, -2):
             m = HalfInt(tm)
             members = levels.get((sector, m), [])
@@ -211,20 +220,11 @@ def ladder(basis, level, lower):
                         break
                     resid = {cand: RS_ONE}
                     for _, _, vec in live:
-                        c = vec.get(cand)
-                        if c is None:
-                            continue
-                        for i, v in vec.items():
-                            r = resid.get(i, RS_ZERO) - c * v
-                            if r.is_zero():
-                                resid.pop(i, None)
-                            else:
-                                resid[i] = r
+                        if cand in vec:
+                            _axpy(resid, -vec[cand], vec)
                     if not resid:
                         continue
-                    norm2 = RS_ZERO
-                    for v in resid.values():
-                        norm2 = norm2 + v * v
+                    norm2 = _dot(resid.items(), resid)
                     if not norm2.is_rational() or norm2.rational() <= 0:
                         raise DegenerateForm(
                             "residual norm %s at m=%s, sector %s" % (norm2, m, sector))
@@ -240,24 +240,21 @@ def ladder(basis, level, lower):
                     "level (%s, %s): %d vectors for %d states"
                     % (sector, m, len(live), len(members)))
             for j, k, vec in live:
-                entries[sector + (k, j, m)] = tuple(
-                    ((basis[i][0], (basis[i][1], basis[i][2])), v)
-                    for i, v in sorted(vec.items()))
-    return entries
+                entries[sector + (k, j, m)] = tuple(sorted(vec.items()))
+    return BracketSet(basis, entries)
 
 
-def verify_brackets(bs, basis, level, lower):
+def verify_brackets(bs, level, lower):
     """Unitarity per level and the Casimir eigen-relation for the
-    brackets bs over basis, keyed sector + (k, j, m) as ladder makes
-    them.  Returns a list of problems, empty when clean."""
-    index = {s: i for i, s in enumerate(basis)}
-    c2 = casimir(basis, level, lower)
-    counts = Counter(level(s) for s in basis)
+    brackets bs, keyed sector + (k, j, m) as ladder makes them.
+    Returns a list of problems, empty when clean."""
+    c2 = casimir(bs.basis, level, lower)
+    counts = Counter(map(level, bs.basis))
     by_level = {lev: [] for lev in counts}
     problems = []
     for key, terms in bs.entries.items():
         j, m = key[-2:]
-        vec = {index[(lam, w[0], w[1])]: v for (lam, w), v in terms}
+        vec = dict(terms)
         by_level.setdefault((key[:-3], m), []).append((key, vec))
         ev = j.as_fraction() * (j.as_fraction() + 1)
         lhs = op_apply(c2, vec)
@@ -270,22 +267,13 @@ def verify_brackets(bs, basis, level, lower):
                             % (lev, len(group), counts.get(lev, 0)))
         for a, (ka, va) in enumerate(group):
             for kb, vb in group[a:]:
-                dot = RS_ZERO
-                for i, c in va.items():
-                    d = vb.get(i)
-                    if d is not None:
-                        dot = dot + c * d
+                dot = _dot(va.items(), vb)
                 if dot != (RS_ONE if ka == kb else RS_ZERO):
                     problems.append("brackets %s . %s = %s" % (ka, kb, dot))
     return problems
 
 
 # -- coefficient transformation --------------------------------------------
-
-def _accumulate(out, key, x):
-    prev = out.get(key)
-    out[key] = x if prev is None else prev + x
-
 
 def transform(block, brackets, row, order):
     """Reduced coupling coefficients of block in a chain basis.
@@ -297,50 +285,54 @@ def transform(block, brackets, row, order):
     multiplicity, evaluated at m = j and checked to be identical at
     m = j - 1.  Rows are returned sorted by order.
 
-    The sum is staged.  Each canonical state (lam, w) of g is coupled
-    once per rho from the canonical coefficients and SO(4) CGs, sparse
-    over product states (lam1 w1, lam2 w2), with so4_cg factored into
-    its X and Y SU(2) parts.  A chain state of g, at m = j and m = j - 1,
-    sums its bracket terms over those.  Contracting the sum with a chain
-    vector of g1 and taking the dot product with one of g2 gives their
-    overlap, and SU(2) CGs over m1 combine the overlaps into a row value.
-    The memo tables live for one call.
+    The sum is staged over positions in the weight bases.  Each
+    canonical state of g is coupled once per rho from the canonical
+    coefficients and SO(4) CGs, sparse over product states (p1, p2) of
+    g1 and g2, with so4_cg factored into its X and Y SU(2) parts.  A
+    chain state of g, at m = j and m = j - 1, sums its bracket terms
+    over those.  Contracting the sum with a chain vector of g1 and
+    taking the dot product with one of g2 gives their overlap, and
+    SU(2) CGs over m1 combine the overlaps into a row value.  The memo
+    tables live for one call.
     """
-    vecs = [brackets(g).entries for g in (block.g1, block.g2, block.g)]
+    sets = [brackets(g) for g in (block.g1, block.g2, block.g)]
+    vecs = [bs.entries for bs in sets]
+    index1, index2 = ({s: p for p, s in enumerate(bs.basis)} for bs in sets[:2])
     pairs = {}
     for col, (lam1, lam2, lam) in enumerate(block.columns):
         pairs.setdefault(lam, []).append((lam1, lam2, col))
     coupled = {}
 
-    def couple(rho, lam, w):
-        """The canonical state (lam, w) of g as [(state1, state2, value)]."""
-        out = []
+    def couple(rho, pos):
+        """The canonical state at pos of g as {p1: {p2: value}}."""
+        lam, mx, my = sets[2].basis[pos]
+        out = {}
         for lam1, lam2, col in pairs[lam]:
             cc = block.vectors[rho][col]
             if cc.is_zero():
                 continue
             for mx1 in mrange(lam1.X):
-                mx2 = w[0] - mx1
-                cx = su2_cg(lam1.X, mx1, lam2.X, mx2, lam.X, w[0])
+                mx2 = mx - mx1
+                cx = su2_cg(lam1.X, mx1, lam2.X, mx2, lam.X, mx)
                 if cx.is_zero():
                     continue
                 for my1 in mrange(lam1.Y):
-                    my2 = w[1] - my1
-                    cy = su2_cg(lam1.Y, my1, lam2.Y, my2, lam.Y, w[1])
+                    my2 = my - my1
+                    cy = su2_cg(lam1.Y, my1, lam2.Y, my2, lam.Y, my)
                     if not cy.is_zero():
-                        out.append(((lam1, (mx1, my1)), (lam2, (mx2, my2)),
-                                    cc * (cx * cy)))
+                        out.setdefault(index1[lam1, mx1, my1], {})[
+                            index2[lam2, mx2, my2]] = cc * (cx * cy)
         return out
 
     def chain_state(key, rho):
-        """The chain state key of g as {state1: {state2: value}}."""
+        """The chain state key of g as {p1: {p2: value}}."""
         psi = {}
-        for (lam, w), c in vecs[2][key]:
-            states = coupled.get((rho, lam, w))
+        for pos, c in vecs[2][key]:
+            states = coupled.get((rho, pos))
             if states is None:
-                states = coupled[(rho, lam, w)] = couple(rho, lam, w)
-            for st1, st2, x in states:
-                _accumulate(psi.setdefault(st1, {}), st2, c * x)
+                states = coupled[rho, pos] = couple(rho, pos)
+            for p1, row in states.items():
+                _axpy(psi.setdefault(p1, {}), c, row)
         return psi
 
     def values(psi, triples, j, m):
@@ -356,14 +348,9 @@ def transform(block, brackets, row, order):
                 half = halves.get((lab1, m1))
                 if half is None:
                     half = halves[(lab1, m1)] = {}
-                    for st1, c1 in vecs[0][lab1 + (m1,)]:
-                        for st2, x in psi.get(st1, {}).items():
-                            _accumulate(half, st2, c1 * x)
-                dot = RS_ZERO
-                for st2, c2 in vecs[1][lab2 + (m2,)]:
-                    x = half.get(st2)
-                    if x is not None:
-                        dot = dot + x * c2
+                    for p1, c1 in vecs[0][lab1 + (m1,)]:
+                        _axpy(half, c1, psi.get(p1, {}))
+                dot = _dot(vecs[1][lab2 + (m2,)], half)
                 if not dot.is_zero():
                     total = total + su2_cg(lab1[-1], m1, lab2[-1], m2, j, m) * dot
             out[(lab1, lab2)] = total

@@ -172,26 +172,24 @@ def branch(g, chain, ms):
     rows = {}
     for m, tt, mu in chain2_branch(t):
         rows.setdefault(m, []).append((tt, mu))
-    want = _parse_halfint(ms) if ms is not None else None
-    for m in sorted(rows, key=lambda h: -h.twice):
-        if want is not None and m != want:
-            continue
+    shown = sorted(rows, key=lambda h: -h.twice)
+    if ms is not None:
+        shown = [_parse_halfint(ms)]
+        if shown[0] not in rows:
+            raise click.UsageError("M_S=%s does not occur in %s" % (shown[0], t))
+    for m in shown:
         parts = [str(tt) if mu == 1 else "%s^%d" % (tt, mu)
                  for tt, mu in rows[m]]
         click.echo("MS=%s: T = %s" % (m, ", ".join(parts)))
 
 
-def _fmt_weight(w):
-    return "(%s,%s)" % (w[0], w[1])
-
-
 def _fmt_terms(pairs):
     terms = []
-    for (lam, w), c in pairs:
+    for (lam, (mx, my)), c in pairs:
         s = str(c)
         if not s.startswith("-"):
             s = "+" + s
-        terms.append("%s |%s;%s>" % (s, lam, _fmt_weight(w)))
+        terms.append("%s |%s;(%s,%s)>" % (s, lam, mx, my))
     return "  ".join(terms)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
 
-from .chains import BracketSet, ladder, op_scale, primitive, transform, \
+from .chains import ladder, op_scale, primitive, transform, \
     verify_brackets, weight_basis
 from .halfint import HalfInt, hi
 
@@ -87,13 +87,12 @@ def chain2_brackets(g):
     (M_S, kappa, T, M_T).  Built once per irrep per process; the set is
     shared and read-only, and cache_clear() drops it."""
     basis = weight_basis(g)
-    return BracketSet(ladder(basis, chain2_level, chain2_lowering(g, basis)))
+    return ladder(basis, chain2_level, chain2_lowering(g, basis))
 
 
 def verify_chain2_brackets(g, bs):
     """Unitarity and T.T eigen-relation report; empty list means clean."""
-    basis = weight_basis(g)
-    return verify_brackets(bs, basis, chain2_level, chain2_lowering(g, basis))
+    return verify_brackets(bs, chain2_level, chain2_lowering(g, bs.basis))
 
 
 Chain2Row = namedtuple("Chain2Row", "ms1 k1 t1 ms2 k2 t2 ms k t values")

@@ -6,13 +6,14 @@ Layout:
     <root>/index.json              key -> hash map
 
 A record file holds {"payload": ..., "meta": {"engine": ..., "hash": ...}}
-where the hash is sha256 over the canonical JSON bytes of the payload
-alone.  Payloads carry their convention flags, so records produced under
-different conventions never collide on a hash.  Writes go through a temp
-file and os.replace, so a crashed run leaves no half-written record.
-Reads are checked: an index hash must be a sha256 hex digest, and
-Store.read_record, the one reader of record files, returns a record only
-if its hash matches the index and meta hashes and its labels make its key.
+as canonical JSON; the hash is sha256 over the canonical JSON bytes of the
+payload alone.  Payloads carry their convention flags, so records produced
+under different conventions never collide on a hash.  Writes go through a
+temp file and os.replace, so a crashed run leaves no half-written record,
+and replace a record file of other bytes.  Store.read_record, the one
+reader of record files, accepts only the bytes write_record writes: the
+payload bytes in the file must hash to the index hash, a sha256 hex
+digest, and to the meta hash, and the labels must make the key.
 """
 
 import hashlib
@@ -71,14 +72,19 @@ def _index_records(data, path):
     return records
 
 
-def _record_problem(key, h, record):
-    """The first problem of a record filed under key with index hash h, or
-    None: it must be an object with an object payload whose content hash
-    matches h and the meta hash and whose chain, g1, g2 and g make key."""
+def _record_problem(key, h, record, blob):
+    """The first problem of a record filed under key with index hash h and
+    parsed from the file bytes blob, or None: it must be an object with an
+    object payload whose bytes in {"meta":<canonical meta>,"payload":...}
+    hash to h and the meta hash, and whose chain, g1, g2 and g make key."""
     if not isinstance(record, dict) or not isinstance(record.get("payload"), dict):
         return "not an object with an object payload"
+    head = b'{"meta":' + canonical_json(record.get("meta")) + b',"payload":'
+    if set(record) != {"meta", "payload"} or not (
+            blob.startswith(head) and blob.endswith(b"}")):
+        return "not in the canonical layout of a record file"
     payload = record["payload"]
-    actual = payload_hash(payload)
+    actual = hashlib.sha256(memoryview(blob)[len(head):-1]).hexdigest()
     if actual != h:
         return "content hash %s does not match index entry %s" % (actual[:12], h[:12])
     meta = record.get("meta")
@@ -132,10 +138,11 @@ class Store:
         path = self.record_path(h)
         try:
             with open(path, "rb") as f:
-                record = json.load(f)
+                blob = f.read()
+            record = json.loads(blob)
         except (OSError, ValueError) as e:
             raise StoreError("cannot read record %s of %r: %s" % (path, key, e))
-        problem = _record_problem(key, h, record)
+        problem = _record_problem(key, h, record, blob)
         if problem:
             raise StoreError("record %r: %s" % (key, problem))
         return record
@@ -144,15 +151,21 @@ class Store:
         """Write a payload under a key; returns the content hash.
 
         The record file is content-addressed, so rewriting identical
-        content is a no-op.  The in-memory index is updated; call
+        content is a no-op; a file of other bytes, such as a damaged
+        record, is replaced.  The in-memory index is updated; call
         flush_index() once after a batch of writes.
         """
         h = payload_hash(payload)
-        record = {"payload": payload,
-                  "meta": {"engine": __version__, "hash": h}}
+        blob = canonical_json({"payload": payload,
+                               "meta": {"engine": __version__, "hash": h}})
         path = self.record_path(h)
-        if not os.path.exists(path):
-            self._atomic_write(path, canonical_json(record))
+        try:
+            with open(path, "rb") as f:
+                stale = f.read() != blob
+        except OSError:
+            stale = True
+        if stale:
+            self._atomic_write(path, blob)
         self.index()[key] = h
         return h
 

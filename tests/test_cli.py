@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from so5racah.cli import main
 from so5racah.exact import parse_value, render_value
+from so5racah.formats import canonical_json
 from so5racah.store import Store
 
 
@@ -141,10 +142,15 @@ def test_exit_code_bad_irrep():
      "zero denominator"),
     (("tabulate", "--max-r", "1/0"), "zero denominator"),
     (("tabulate", "--max-r", "-1"), "must not be negative"),
+    (("branch", "--g", "(1,0)", "--chain", "isospin", "--ms", "7/2"),
+     "M_S=7/2 does not occur in (1,0)"),
+    (("branch", "--g", "(0,0)", "--chain", "isospin", "--ms", "1"),
+     "M_S=1 does not occur in (0,0)"),
 ], ids=["couple", "transform", "brackets", "branch", "tabulate",
-        "tabulate-negative"])
+        "tabulate-negative", "branch-ms-out-of-range", "branch-ms-absent"])
 def test_zero_denominator_is_a_usage_error(tmp_path, args, message):
-    # so is a negative --max-r, which would otherwise tabulate nothing
+    # so is a negative --max-r, which would otherwise tabulate nothing,
+    # and an --ms the irrep lacks, which would otherwise print nothing
     r = run(*args, env={"SO5RACAH_STORE": str(tmp_path / "st")})
     assert r.exit_code == 2, r.output
     assert message in r.output
@@ -293,6 +299,61 @@ def test_unhashed_edit_is_a_store_error(tmp_path, command, chain):
     assert r.exit_code == 4, r.output
     assert "sqrt(1/7)" not in r.output
     assert "store error" in r.output and key in r.output
+
+
+@pytest.mark.parametrize("command", [
+    ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(1,0)"),
+    ("tabulate", "--max-r", "1/2"),
+], ids=["couple", "tabulate"])
+def test_resolving_replaces_a_damaged_record(tmp_path, command):
+    # a record file damaged without re-hashing is written anew when its
+    # coupling is solved again, instead of being listed as it lies
+    store = str(tmp_path / "st")
+    key = "so4|(1/2,0) x (1/2,0) -> (1,0)"
+    assert run(*command, "--store", store).exit_code == 0
+    st = Store(store)
+    path = st.record_path(st.hash_for(key))
+    with open(path, "rb") as f:
+        good = f.read()
+    record = json.loads(good)
+    record["payload"]["vectors"][0][0] = "sqrt(1/7)"
+    with open(path, "wb") as f:
+        f.write(canonical_json(record))
+    assert run("verify", "--store", store).exit_code == 1
+    with open(os.path.join(store, "index.json"), "w") as f:
+        f.write('{"records":{},"schema":"so5racah-store@1"}')
+    assert run(*command, "--store", store).exit_code == 0
+    with open(path, "rb") as f:
+        assert f.read() == good
+    v = run("verify", "--store", store)
+    assert v.exit_code == 0, v.output
+    r = run("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(1,0)",
+            "--store", store)
+    assert r.exit_code == 0, r.output
+
+
+@pytest.mark.parametrize("layout", [
+    lambda record: json.dumps(record, indent=2).encode(),
+    lambda record: canonical_json(dict(record, extra=1)),
+], ids=["indented", "extra-key"])
+def test_record_in_another_layout_is_a_store_error(tmp_path, layout):
+    # honestly hashed, but not the bytes write_record writes
+    args = ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+            "--store", str(tmp_path / "st"))
+    assert run(*args).exit_code == 0
+    st = Store(str(tmp_path / "st"))
+    key = "so4|(1/2,0) x (1/2,0) -> (0,0)"
+    path = st.record_path(st.hash_for(key))
+    with open(path, "rb") as f:
+        record = json.load(f)
+    with open(path, "wb") as f:
+        f.write(layout(record))
+    r = run(*args)
+    assert r.exit_code == 4, r.output
+    assert "store error" in r.output and key in r.output
+    v = run("verify", "--store", str(tmp_path / "st"))
+    assert v.exit_code == 1, v.output
+    assert "FAIL %s" % key in v.output.splitlines()
 
 
 @pytest.mark.parametrize("chain, field", [
