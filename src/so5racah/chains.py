@@ -304,7 +304,8 @@ def transform(block, brackets, row, order):
     coupled = {}
 
     def couple(rho, pos):
-        """The canonical state at pos of g as {p1: {p2: value}}."""
+        """The canonical state at pos of g as {p1: {p2: value}}; each
+        (lam1, lam2) is one column per lam, so each (p1, p2) is set once."""
         lam, mx, my = sets[2].basis[pos]
         out = {}
         for lam1, lam2, col in pairs[lam]:

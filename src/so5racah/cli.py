@@ -21,7 +21,7 @@ from .isospin import chain2_branch, chain2_brackets, chain2_transform, \
     verify_chain2_brackets
 from .racah import build_system, solve_isoscalars, verify_block
 from .so5 import So5Irrep, so5_branch_so4, so5_kronecker
-from .store import Store, parse_key, record_key
+from .store import Store, parse_key, payload_hash, record_key
 
 STORE_ENV = "SO5RACAH_STORE"
 
@@ -275,13 +275,13 @@ def tabulate(max_r, chain, jobs, store_path):
                % (len(work), skipped, store_path))
 
 
-def _verify_record(key, payload, checked):
-    """Problems of the record stored under key, whose coupling is solved
-    afresh: the block must pass verify_block, a chain table's irreps
-    their bracket check, and the stored payload must equal the derived
-    one.  Each check runs once per run: checked maps a coupling
-    (g1, g2, g) to its (block, problems) and (chain, irrep) to the
-    irrep's bracket problems."""
+def _verify_record(key, h, checked):
+    """Problems of the record stored under key with content hash h, whose
+    coupling is solved afresh: the block must pass verify_block, a chain
+    table's irreps their bracket check, and h must be the hash of the
+    derived payload.  Each check runs once per run: checked maps a
+    coupling (g1, g2, g) to its (block, problems) and (chain, irrep) to
+    the irrep's bracket problems."""
     try:
         chain, *labels = parse_key(key)
         irreps = [So5Irrep.parse(s) for s in labels]
@@ -302,7 +302,7 @@ def _verify_record(key, payload, checked):
             if (chain, g) not in checked:
                 checked[chain, g] = check(g, brackets(g))
             problems += checked[chain, g]
-    if _payload(chain, block) != payload:
+    if payload_hash(_payload(chain, block)) != h:
         problems.append("record differs from the one re-derived from the "
                         "coupling its key names")
     return problems
@@ -325,7 +325,7 @@ def verify(store_path):
     checked = {}
     for key in keys:
         try:
-            problems = _verify_record(key, st.read_record(key)["payload"],
+            problems = _verify_record(key, st.read_record(key)["meta"]["hash"],
                                       checked)
         except So5Error as e:
             problems = [str(e)]

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 
@@ -352,6 +353,29 @@ def test_record_in_another_layout_is_a_store_error(tmp_path, layout):
     assert r.exit_code == 4, r.output
     assert "store error" in r.output and key in r.output
     v = run("verify", "--store", str(tmp_path / "st"))
+    assert v.exit_code == 1, v.output
+    assert "FAIL %s" % key in v.output.splitlines()
+
+
+def test_verify_fails_non_canonical_payload_bytes(tmp_path):
+    # reads hash the payload bytes as they lie, so a payload re-spaced and
+    # hashed over its new bytes is served; verify compares the hash with
+    # that of the re-derived payload and fails it
+    store = str(tmp_path / "st")
+    assert run("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+               "--store", store).exit_code == 0
+    st = Store(store)
+    key = st.keys()[0]
+    with open(st.record_path(st.hash_for(key)), "rb") as f:
+        record = json.load(f)
+    spaced = json.dumps(record["payload"], sort_keys=True).encode()
+    record["meta"]["hash"] = hashlib.sha256(spaced).hexdigest()
+    with open(st.record_path(record["meta"]["hash"]), "wb") as f:
+        f.write(b'{"meta":%s,"payload":%s}' % (canonical_json(record["meta"]),
+                                              spaced))
+    st.index()[key] = record["meta"]["hash"]
+    st.flush_index()
+    v = run("verify", "--store", store)
     assert v.exit_code == 1, v.output
     assert "FAIL %s" % key in v.output.splitlines()
 
