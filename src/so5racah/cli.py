@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 verification failure, 2 argument or parse
 error, 3 coupling not in the Kronecker series, 4 store I/O failure.
 """
 
-import functools
 import multiprocessing
 import os
 import sys
@@ -25,26 +24,13 @@ from .store import Store, parse_key, payload_hash, record_key
 
 STORE_ENV = "SO5RACAH_STORE"
 
-CHAINS = ("so4", "isospin", "angmom")
+# per physical chain: an irrep's brackets, their check, the label names
+_TABLE_CHAINS = {
+    "isospin": (chain2_brackets, verify_chain2_brackets, ("MS", "k", "T", "MT")),
+    "angmom": (chain3_brackets, verify_chain3_brackets, ("a", "L", "ML")),
+}
+CHAINS = ("so4",) + tuple(_TABLE_CHAINS)
 FORMATS = ("text", "csv", "json", "float")
-
-
-def guarded(fn):
-    """Map engine exceptions to the documented exit codes."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except NotInSeries as e:
-            click.echo("error: %s" % e, err=True)
-            sys.exit(3)
-        except StoreError as e:
-            click.echo("store error: %s" % e, err=True)
-            sys.exit(4)
-        except So5Error as e:
-            click.echo("verification error: %s" % e, err=True)
-            sys.exit(1)
-    return wrapper
 
 
 def _parse_irrep(s):
@@ -103,26 +89,56 @@ def _emit(text, output):
         raise click.UsageError("cannot write %s: %s" % (output, e.strerror))
 
 
-@click.group()
+class _Commands(click.Group):
+    """Maps engine exceptions to the documented exit codes, for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NotInSeries as e:
+            click.echo("error: %s" % e, err=True)
+            sys.exit(3)
+        except StoreError as e:
+            click.echo("store error: %s" % e, err=True)
+            sys.exit(4)
+        except So5Error as e:
+            click.echo("verification error: %s" % e, err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact SO(5) > SO(4) reduced coupling coefficients."""
 
 
+def _coupling_options(chain_option):
+    """couple's and transform's options; chain_option binds chain."""
+    options = (
+        click.option("--g1", required=True,
+                     help="first factor irrep, e.g. \"(1,1/2)\""),
+        click.option("--g2", required=True, help="second factor irrep"),
+        click.option("--g", required=True, help="product irrep"),
+        chain_option,
+        click.option("--format", "fmt", default="text",
+                     type=click.Choice(FORMATS), show_default=True),
+        click.option("--digits", default=16, type=click.IntRange(1, 30),
+                     show_default=True, help="decimal digits for --format float"),
+        click.option("--output", default=None, type=click.Path(dir_okay=False),
+                     help="write to a file instead of stdout"),
+        click.option("--store", "store_path", default=None, envvar=STORE_ENV,
+                     help="record store to read from / write into"),
+    )
+
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return decorate
+
+
 @main.command()
-@click.option("--g1", required=True, help="first factor irrep, e.g. \"(1,1/2)\"")
-@click.option("--g2", required=True, help="second factor irrep")
-@click.option("--g", required=True, help="product irrep")
-@click.option("--chain", default="so4", type=click.Choice(CHAINS),
-              show_default=True)
-@click.option("--format", "fmt", default="text", type=click.Choice(FORMATS),
-              show_default=True)
-@click.option("--digits", default=16, type=click.IntRange(1, 30),
-              show_default=True, help="decimal digits for --format float")
-@click.option("--output", default=None, type=click.Path(dir_okay=False),
-              help="write to a file instead of stdout")
-@click.option("--store", "store_path", default=None, envvar=STORE_ENV,
-              help="record store to read from / write into")
-@guarded
+@_coupling_options(click.option("--chain", default="so4", show_default=True,
+                                type=click.Choice(CHAINS)))
 def couple(g1, g2, g, chain, fmt, digits, output, store_path):
     """One coupling: solve (or load) and print the coefficient table."""
     t1, t2, t = _parse_irrep(g1), _parse_irrep(g2), _parse_irrep(g)
@@ -130,22 +146,12 @@ def couple(g1, g2, g, chain, fmt, digits, output, store_path):
 
 
 @main.command()
-@click.option("--g1", required=True)
-@click.option("--g2", required=True)
-@click.option("--g", required=True)
-@click.option("--to", "target", required=True,
-              type=click.Choice(("isospin", "angmom")))
-@click.option("--format", "fmt", default="text", type=click.Choice(FORMATS),
-              show_default=True)
-@click.option("--digits", default=16, type=click.IntRange(1, 30),
-              show_default=True)
-@click.option("--output", default=None, type=click.Path(dir_okay=False))
-@click.option("--store", "store_path", default=None, envvar=STORE_ENV)
-@guarded
-def transform(g1, g2, g, target, fmt, digits, output, store_path):
+@_coupling_options(click.option("--to", "chain", required=True,
+                                type=click.Choice(tuple(_TABLE_CHAINS))))
+def transform(g1, g2, g, chain, fmt, digits, output, store_path):
     """Transform a canonical-chain block to another subalgebra chain."""
     t1, t2, t = _parse_irrep(g1), _parse_irrep(g2), _parse_irrep(g)
-    _emit(_rendered(store_path, target, t1, t2, t, fmt, digits), output)
+    _emit(_rendered(store_path, chain, t1, t2, t, fmt, digits), output)
 
 
 @main.command()
@@ -153,7 +159,6 @@ def transform(g1, g2, g, target, fmt, digits, output, store_path):
 @click.option("--chain", default="so4", type=click.Choice(CHAINS),
               show_default=True)
 @click.option("--ms", default=None, help="restrict isospin output to one M_S")
-@guarded
 def branch(g, chain, ms):
     """Branching content of one irrep in the chosen chain."""
     t = _parse_irrep(g)
@@ -193,32 +198,16 @@ def _fmt_terms(pairs):
     return "  ".join(terms)
 
 
-# per table chain: its irreps' brackets and their check
-_BRACKETS = {
-    "isospin": (chain2_brackets, verify_chain2_brackets),
-    "angmom": (chain3_brackets, verify_chain3_brackets),
-}
-
-
 @main.command()
 @click.option("--g", required=True)
-@click.option("--chain", required=True, type=click.Choice(("isospin", "angmom")))
-@guarded
+@click.option("--chain", required=True, type=click.Choice(tuple(_TABLE_CHAINS)))
 def brackets(g, chain):
     """Transformation brackets of one irrep, one chain vector per line."""
-    names = ("MS", "k", "T", "MT") if chain == "isospin" else ("a", "L", "ML")
-    bs = _BRACKETS[chain][0](_parse_irrep(g))
+    ladder, _, names = _TABLE_CHAINS[chain]
+    bs = ladder(_parse_irrep(g))
     for key in bs.labels():
         label = " ".join("%s=%s" % pair for pair in zip(names, key))
         click.echo("|%s> = %s" % (label, _fmt_terms(bs.vector(key))))
-
-
-def _irreps_up_to(max_r):
-    out = []
-    for tr in range(0, max_r.twice + 1):
-        for ts in range(0, tr + 1):
-            out.append(So5Irrep(HalfInt(tr), HalfInt(ts)))
-    return out
 
 
 def _tabulate_worker(args):
@@ -235,7 +224,6 @@ def _tabulate_worker(args):
 @click.option("--jobs", default=1, type=click.IntRange(1, 64),
               show_default=True)
 @click.option("--store", "store_path", required=True, envvar=STORE_ENV)
-@guarded
 def tabulate(max_r, chain, jobs, store_path):
     """Compute every coupling with R1, R2 up to a bound into the store.
 
@@ -247,32 +235,25 @@ def tabulate(max_r, chain, jobs, store_path):
     if bound.twice < 0:
         raise click.UsageError("--max-r must not be negative, got %s" % bound)
     st = Store(store_path)
-    have = st.index()
-    irreps = _irreps_up_to(bound)
-    work = []
-    skipped = 0
-    for g1 in irreps:
-        for g2 in irreps:
-            series = so5_kronecker(g1, g2)
-            for g in sorted(series, key=lambda h: (h.R.twice, h.S.twice)):
-                key = record_key(chain, str(g1), str(g2), str(g))
-                if key in have:
-                    skipped += 1
-                else:
-                    work.append((chain, str(g1), str(g2), str(g)))
-    work.sort()
+    irreps = [So5Irrep(HalfInt(tr), HalfInt(ts))
+              for tr in range(bound.twice + 1) for ts in range(tr + 1)]
+    couplings = [(chain, str(g1), str(g2), str(g)) for g1 in irreps
+                 for g2 in irreps for g in so5_kronecker(g1, g2)]
+    # sorted: the pool hands the couplings out in this order
+    work = sorted(c for c in couplings if record_key(*c) not in st.index())
+    jobs = min(jobs, len(work))
+    if jobs > 1:
+        with multiprocessing.Pool(processes=jobs) as pool:
+            results = list(pool.imap_unordered(_tabulate_worker, work,
+                                               chunksize=1))
+    else:
+        results = [_tabulate_worker(a) for a in work]
+    for key, payload in results:
+        st.write_record(key, payload)
     if work:
-        if jobs == 1:
-            results = [_tabulate_worker(a) for a in work]
-        else:
-            with multiprocessing.Pool(processes=jobs) as pool:
-                results = list(pool.imap_unordered(_tabulate_worker, work,
-                                                   chunksize=1))
-        for key, payload in sorted(results, key=lambda kv: kv[0]):
-            st.write_record(key, payload)
         st.flush_index()
     click.echo("%d records written, %d already present, store %s"
-               % (len(work), skipped, store_path))
+               % (len(work), len(couplings) - len(work), store_path))
 
 
 def _verify_record(key, h, checked):
@@ -296,8 +277,8 @@ def _verify_record(key, h, checked):
         checked[coupling] = block, verify_block(block, system)
     block, problems = checked[coupling]
     problems = list(problems)
-    if chain in _BRACKETS:
-        brackets, check = _BRACKETS[chain]
+    if chain in _TABLE_CHAINS:
+        brackets, check, _ = _TABLE_CHAINS[chain]
         for g in dict.fromkeys(irreps):
             if (chain, g) not in checked:
                 checked[chain, g] = check(g, brackets(g))
@@ -310,7 +291,6 @@ def _verify_record(key, h, checked):
 
 @main.command()
 @click.option("--store", "store_path", required=True, envvar=STORE_ENV)
-@guarded
 def verify(store_path):
     """Re-check every stored record: content hashes, then the record its
     key names is re-derived from a freshly solved block that must pass

@@ -13,9 +13,12 @@ temp file and os.replace, so a crashed run leaves no half-written record,
 and replace a record file of other bytes.  Store.read_record, the one
 reader of record files, accepts only the bytes write_record writes: the
 payload bytes in the file must hash to the index hash, a sha256 hex
-digest, and to the meta hash, and the labels must make the key.
+digest, and to the meta hash, and the labels must make the key.  flush_index
+merges into index.json under an exclusive flock on the store directory, so
+concurrent writers keep each other's keys.
 """
 
+import fcntl
 import hashlib
 import json
 import os
@@ -106,17 +109,18 @@ class Store:
 
     def index(self):
         if self._index is None:
-            if os.path.exists(self.index_path):
-                try:
-                    with open(self.index_path, "rb") as f:
-                        data = json.load(f)
-                except (OSError, ValueError) as e:
-                    raise StoreError("cannot read index %s: %s"
-                                     % (self.index_path, e))
-                self._index = _index_records(data, self.index_path)
-            else:
-                self._index = {}
+            self._index = self._read_index()
         return self._index
+
+    def _read_index(self):
+        if not os.path.exists(self.index_path):
+            return {}
+        try:
+            with open(self.index_path, "rb") as f:
+                data = json.load(f)
+        except (OSError, ValueError) as e:
+            raise StoreError("cannot read index %s: %s" % (self.index_path, e))
+        return _index_records(data, self.index_path)
 
     def keys(self):
         return sorted(self.index())
@@ -170,9 +174,22 @@ class Store:
         return h
 
     def flush_index(self):
-        data = {"schema": INDEX_SCHEMA,
-                "records": {k: self.index()[k] for k in sorted(self.index())}}
-        self._atomic_write(self.index_path, canonical_json(data))
+        """Write this Store's index into index.json.  Under an exclusive
+        flock on the store directory (there is no lock file), index.json
+        is re-read and checked as index() does and this Store's entries
+        are laid over it, so concurrent writers keep each other's keys."""
+        try:
+            os.makedirs(self.root, exist_ok=True)
+            fd = os.open(self.root, os.O_RDONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                records = {**self._read_index(), **self.index()}
+                self._atomic_write(self.index_path, canonical_json(
+                    {"schema": INDEX_SCHEMA, "records": records}))
+            finally:
+                os.close(fd)
+        except OSError as e:
+            raise StoreError("cannot lock store %s: %s" % (self.root, e))
 
     def _atomic_write(self, path, blob):
         d = os.path.dirname(path)

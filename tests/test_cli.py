@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from so5racah.cli import main
+from so5racah.errors import InternalInconsistency
 from so5racah.exact import parse_value, render_value
 from so5racah.formats import canonical_json
 from so5racah.store import Store
@@ -163,6 +164,62 @@ def test_exit_code_not_in_series():
     assert r.exit_code == 3
 
 
+def _inconsistent(*args, **kw):
+    raise InternalInconsistency("planted self-check failure")
+
+
+@pytest.mark.parametrize("command, name", [
+    (("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(1,0)"),
+     "solve_isoscalars"),
+    (("transform", "--to", "angmom", "--g1", "(1/2,0)", "--g2", "(1/2,0)",
+      "--g", "(1,0)"), "solve_isoscalars"),
+    (("tabulate", "--max-r", "0", "--jobs", "1", "--store", "st"),
+     "solve_isoscalars"),
+    (("branch", "--g", "(1/2,0)"), "so5_branch_so4"),
+    (("brackets", "--g", "(1/2,0)", "--chain", "isospin"), "_TABLE_CHAINS"),
+], ids=["couple", "transform", "tabulate", "branch", "brackets"])
+def test_engine_failure_is_exit_1(tmp_path, monkeypatch, command, name):
+    # every command maps an engine self-check failure to exit 1
+    from so5racah import cli
+    if name == "_TABLE_CHAINS":
+        _, check, names = cli._TABLE_CHAINS["isospin"]
+        monkeypatch.setitem(cli._TABLE_CHAINS, "isospin",
+                            (_inconsistent, check, names))
+    else:
+        monkeypatch.setattr(cli, name, _inconsistent)
+    monkeypatch.chdir(tmp_path)
+    r = run(*command)
+    assert r.exit_code == 1, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "verification error: planted self-check failure" in r.output
+
+
+def test_tabulate_starts_no_more_workers_than_couplings(tmp_path, monkeypatch):
+    # --max-r 0 has one coupling, so it is solved in process whatever --jobs
+    from so5racah import cli
+
+    def no_pool(*args, **kw):
+        raise AssertionError("a worker pool was started")
+
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run("tabulate", "--max-r", "0", "--store", a).exit_code == 0
+    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    r = run("tabulate", "--max-r", "0", "--jobs", "8", "--store", b)
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("1 records written, 0 already present")
+    assert _store_bytes(b) == _store_bytes(a)
+
+
+def _store_bytes(root):
+    """{path under root: bytes} of every file of a store."""
+    out = {}
+    for d, _, files in os.walk(root):
+        for name in files:
+            with open(os.path.join(d, name), "rb") as f:
+                out[os.path.relpath(os.path.join(d, name), root)] = f.read()
+    return out
+
+
 def test_exit_code_store_error(tmp_path):
     (tmp_path / "index.json").write_text("not json at all {")
     r = run("verify", "--store", str(tmp_path))
@@ -186,7 +243,10 @@ def test_verify_without_store_is_an_error(tmp_path):
 @pytest.mark.parametrize("command", [
     ("verify",),
     ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)"),
-], ids=["verify", "couple"])
+    ("transform", "--to", "isospin", "--g1", "(1/2,0)", "--g2", "(1/2,0)",
+     "--g", "(0,0)"),
+    ("tabulate", "--max-r", "0"),
+], ids=["verify", "couple", "transform", "tabulate"])
 def test_malformed_index_is_a_store_error(tmp_path, index, command):
     # valid JSON of the wrong shape is reported, not a traceback
     (tmp_path / "index.json").write_text(json.dumps(index))
@@ -631,33 +691,27 @@ def test_verify_checks_each_irrep_once(tmp_path, monkeypatch):
         r = run("couple", "--chain", "isospin", "--g1", "(1/2,0)", "--g2", g2,
                 "--g", g, "--store", store)
         assert r.exit_code == 0
-    brackets, check = cli._BRACKETS["isospin"]
+    brackets, check, names = cli._TABLE_CHAINS["isospin"]
     calls = []
 
     def counting(g, bs):
         calls.append(str(g))
         return check(g, bs)
 
-    monkeypatch.setitem(cli._BRACKETS, "isospin", (brackets, counting))
+    monkeypatch.setitem(cli._TABLE_CHAINS, "isospin", (brackets, counting, names))
     v = run("verify", "--store", store)
     assert v.exit_code == 0, v.output
     assert v.output.count("ok   isospin|") == 2
     assert sorted(calls) == ["(1,0)", "(1/2,0)"]
 
 
-def test_tabulate_jobs_deterministic(tmp_path):
+@pytest.mark.parametrize("chain", ["so4", "isospin", "angmom"])
+def test_tabulate_jobs_deterministic(tmp_path, chain):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert run("tabulate", "--max-r", "1/2", "--jobs", "1",
+    assert run("tabulate", "--max-r", "1/2", "--chain", chain, "--jobs", "1",
                "--store", a).exit_code == 0
-    assert run("tabulate", "--max-r", "1/2", "--jobs", "2",
+    assert run("tabulate", "--max-r", "1/2", "--chain", chain, "--jobs", "2",
                "--store", b).exit_code == 0
-    for name in ("index.json",):
-        assert open(os.path.join(a, name), "rb").read() == \
-            open(os.path.join(b, name), "rb").read()
-    ra = sorted(os.listdir(os.path.join(a, "records")))
-    rb = sorted(os.listdir(os.path.join(b, "records")))
-    assert ra == rb
-    for name in ra:
-        pa = open(os.path.join(a, "records", name), "rb").read()
-        pb = open(os.path.join(b, "records", name), "rb").read()
-        assert pa == pb
+    files = _store_bytes(a)
+    assert "index.json" in files and len(files) > 1
+    assert _store_bytes(b) == files

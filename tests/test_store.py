@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 from fractions import Fraction
@@ -103,3 +104,46 @@ def test_hash_covers_conventions(payload):
     tweaked = json.loads(canonical_json(payload))
     tweaked["conventions"]["phase"] = "other"
     assert payload_hash(tweaked) != payload_hash(payload)
+
+
+def test_concurrent_writers_keep_each_others_keys(tmp_path, payload):
+    # two Stores open on one root, each flushing its own write: the second
+    # flush must not drop the key the first one wrote
+    root = str(tmp_path / "s")
+    a, b = Store(root), Store(root)
+    assert a.index() == b.index() == {}
+    other = block_record(solve_isoscalars(
+        So5Irrep(H, 0), So5Irrep(H, 0), So5Irrep(1, 0)))
+    kb = record_key("so4", "(1/2,0)", "(1/2,0)", "(1,0)")
+    hb = b.write_record(kb, other)
+    b.flush_index()
+    ha = a.write_record(KEY, payload)
+    a.flush_index()
+    assert Store(root).index() == {KEY: ha, kb: hb}
+    assert Store(root).read_record(kb)["payload"] == other
+
+
+def test_flush_index_rereads_and_rewrites_under_the_store_lock(
+        tmp_path, payload, monkeypatch):
+    st = Store(str(tmp_path / "s"))
+    st.write_record(KEY, payload)
+    locked = []
+
+    def probed(method):
+        def probe(self, *args):
+            fd = os.open(self.root, os.O_RDONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                locked.append(False)
+            except BlockingIOError:
+                locked.append(True)
+            finally:
+                os.close(fd)
+            return method(self, *args)
+        return probe
+
+    monkeypatch.setattr(Store, "_read_index", probed(Store._read_index))
+    monkeypatch.setattr(Store, "_atomic_write", probed(Store._atomic_write))
+    st.flush_index()
+    assert locked == [True, True]
+    assert Store(st.root).index() == {KEY: payload_hash(payload)}
