@@ -4,17 +4,16 @@ The angular momentum operator mixes the two SU(2) chains: L weights are
 M_L = M_X + 3*M_Y, so a chain (III) basis state spans several weight
 points of the same M_L.  The chain has one sector, (); its lowering
 operator is L_- = 2 X_- + 2 sqrt(3) T_{+-}, the sqrt(2) L^(1)_{-1} of
-the generator matrices below.  The laddering, the L.L check and the
-coefficient transformation are the ones of `chains`.
+the generator matrices below.  The branching, the laddering, the L.L
+check and the coefficient transformation are the ones of `chains`.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .chains import ladder, op_add, op_compose, op_scale, \
     primitive, transform, verify_brackets, weight_basis
-from .errors import InternalInconsistency
 from .exact import Radical
 from .halfint import HalfInt
 from .su2 import su2_cg
@@ -24,20 +23,6 @@ def chain3_level(state):
     """((), M_L) of a weight basis state: one sector, M_L = M_X + 3 M_Y."""
     _, mx, my = state
     return (), HalfInt(mx.twice + 3 * my.twice)
-
-
-def chain3_branch(g):
-    """(L, multiplicity) pairs by weight counting along M_L = M_X + 3M_Y."""
-    counts = Counter(chain3_level(s)[1].twice for s in weight_basis(g))
-    out = []
-    top = max(counts)
-    for tl in range(top % 2, top + 1, 2):
-        mu = counts.get(tl, 0) - counts.get(tl + 2, 0)
-        if mu < 0:
-            raise InternalInconsistency("nonunimodal M_L counts in %s" % g)
-        if mu:
-            out.append((HalfInt(tl), mu))
-    return out
 
 
 # -- generator matrices ----------------------------------------------------

@@ -1,14 +1,14 @@
 """One engine for the subalgebra chains: weight basis, sparse generator
-matrices, transformation brackets by laddering, their verification,
-and the transformation of canonical-chain coefficients.
+matrices, branching, transformation brackets by laddering, their
+verification, and the transformation of canonical-chain coefficients.
 
 A chain is described by two things.  Its level function maps a weight
 basis state (lam, M_X, M_Y) to (sector, m): the sector is the tuple
 of labels the subalgebra leaves fixed ((M_S,) in the isospin chain, ()
 in the angular-momentum chain) and m is the weight of its SO(3).  Its
 lowering operator, a sparse matrix over the weight basis, maps level
-(sector, m) into (sector, m - 1).  Brackets, the Casimir used to check
-them, and the coefficient transformation follow from these alone.  A
+(sector, m) into (sector, m - 1).  Branching, brackets, their Casimir
+check and the coefficient transformation follow from these alone.  A
 bracket key is sector + (k, j, m), which is the chain's own label.
 
 Inside the engine a state is its position in the irrep's weight basis:
@@ -173,7 +173,28 @@ def casimir(basis, level, lower):
                   op_scale(half, op_compose(lower, raising)))
 
 
-# -- transformation brackets -----------------------------------------------
+# -- branching and transformation brackets ---------------------------------
+
+def branch(basis, level):
+    """Branching with multiplicity over basis: sector + (j, mu) for each
+    multiplet, sectors descending and j ascending.  mu is the size of level
+    (sector, j) less that of (sector, j + 1), counted at m >= 0 only (levels
+    shrink below m = 0); a level there that outgrows the one below raises
+    InternalInconsistency."""
+    sizes = Counter(map(level, basis))
+    out = []
+    for sector in sorted({sec for sec, _ in sizes}, reverse=True):
+        top = max(m for sec, m in sizes if sec == sector)
+        for tj in range(top.twice % 2, top.twice + 1, 2):
+            j = HalfInt(tj)
+            mu = sizes[sector, j] - sizes[sector, j + 1]
+            if mu < 0:
+                raise InternalInconsistency(
+                    "level (%s, %s) outgrows the one below" % (sector, j + 1))
+            if mu:
+                out.append(sector + (j, mu))
+    return out
+
 
 def ladder(basis, level, lower):
     """Chain basis vectors by inward laddering with Gram-Schmidt completion.

@@ -10,13 +10,14 @@ import sys
 
 import click
 
-from .angmom import chain3_branch, chain3_brackets, chain3_transform, \
+from .angmom import chain3_brackets, chain3_level, chain3_transform, \
     verify_chain3_brackets
+from .chains import branch as chain_branch, weight_basis
 from .errors import NotInSeries, So5Error, StoreError
 from .formats import block_record, chain2_record, chain3_record, \
     render_record
 from .halfint import HalfInt
-from .isospin import chain2_branch, chain2_brackets, chain2_transform, \
+from .isospin import chain2_brackets, chain2_level, chain2_transform, \
     verify_chain2_brackets
 from .racah import build_system, solve_isoscalars, verify_block
 from .so5 import So5Irrep, so5_branch_so4, so5_kronecker
@@ -24,10 +25,12 @@ from .store import Store, parse_key, payload_hash, record_key
 
 STORE_ENV = "SO5RACAH_STORE"
 
-# per physical chain: an irrep's brackets, their check, the label names
+# per physical chain: its level function, brackets, their check, label names
 _TABLE_CHAINS = {
-    "isospin": (chain2_brackets, verify_chain2_brackets, ("MS", "k", "T", "MT")),
-    "angmom": (chain3_brackets, verify_chain3_brackets, ("a", "L", "ML")),
+    "isospin": (chain2_level, chain2_brackets, verify_chain2_brackets,
+                ("MS", "k", "T", "MT")),
+    "angmom": (chain3_level, chain3_brackets, verify_chain3_brackets,
+               ("a", "L", "ML")),
 }
 CHAINS = ("so4",) + tuple(_TABLE_CHAINS)
 FORMATS = ("text", "csv", "json", "float")
@@ -168,24 +171,17 @@ def branch(g, chain, ms):
         for lam in so5_branch_so4(t):
             click.echo(str(lam))
         return
-    if chain == "angmom":
-        parts = []
-        for l, mu in chain3_branch(t):
-            parts.append(str(l) if mu == 1 else "%s^%d" % (l, mu))
-        click.echo("L = " + ", ".join(parts))
-        return
+    level, _, _, names = _TABLE_CHAINS[chain]
     rows = {}
-    for m, tt, mu in chain2_branch(t):
-        rows.setdefault(m, []).append((tt, mu))
-    shown = sorted(rows, key=lambda h: -h.twice)
-    if ms is not None:
-        shown = [_parse_halfint(ms)]
-        if shown[0] not in rows:
-            raise click.UsageError("M_S=%s does not occur in %s" % (shown[0], t))
-    for m in shown:
-        parts = [str(tt) if mu == 1 else "%s^%d" % (tt, mu)
-                 for tt, mu in rows[m]]
-        click.echo("MS=%s: T = %s" % (m, ", ".join(parts)))
+    for *sector, j, mu in chain_branch(weight_basis(t), level):
+        rows.setdefault(tuple(sector), []).append(
+            str(j) if mu == 1 else "%s^%d" % (j, mu))
+    shown = list(rows) if ms is None else [(_parse_halfint(ms),)]
+    if shown[0] not in rows:
+        raise click.UsageError("M_S=%s does not occur in %s" % (shown[0][0], t))
+    for sector in shown:
+        prefix = "".join("%s=%s: " % pair for pair in zip(names[:-3], sector))
+        click.echo("%s%s = %s" % (prefix, names[-2], ", ".join(rows[sector])))
 
 
 def _fmt_terms(pairs):
@@ -203,7 +199,7 @@ def _fmt_terms(pairs):
 @click.option("--chain", required=True, type=click.Choice(tuple(_TABLE_CHAINS)))
 def brackets(g, chain):
     """Transformation brackets of one irrep, one chain vector per line."""
-    ladder, _, names = _TABLE_CHAINS[chain]
+    _, ladder, _, names = _TABLE_CHAINS[chain]
     bs = ladder(_parse_irrep(g))
     for key in bs.labels():
         label = " ".join("%s=%s" % pair for pair in zip(names, key))
@@ -278,7 +274,7 @@ def _verify_record(key, h, checked):
     block, problems = checked[coupling]
     problems = list(problems)
     if chain in _TABLE_CHAINS:
-        brackets, check, _ = _TABLE_CHAINS[chain]
+        _, brackets, check, _ = _TABLE_CHAINS[chain]
         for g in dict.fromkeys(irreps):
             if (chain, g) not in checked:
                 checked[chain, g] = check(g, brackets(g))

@@ -1,11 +1,11 @@
-"""Chain (II) U_N(1) x SO_T(3): branching, and what the chain engine
-needs to build its brackets and tables.
+"""Chain (II) U_N(1) x SO_T(3): what the chain engine needs to build its
+branching, brackets and tables.
 
 A chain (II) basis state lives at a single weight point (M_X, M_Y) of
 the SO(5) irrep, relabeled by M_S = M_X + M_Y and M_T = M_X - M_Y.
 (M_S,) is the sector; T_- = 2 T_{-+} lowers M_T along one M_S diagonal.
-The laddering, the T.T check and the coefficient transformation are
-the ones of `chains`.
+The branching, laddering, T.T check and coefficient transformation are
+the ones of `chains`; the closed form below only checks the branching.
 """
 
 from collections import namedtuple
@@ -15,10 +15,10 @@ from math import ceil, floor
 
 from .chains import ladder, op_scale, primitive, transform, \
     verify_brackets, weight_basis
-from .halfint import HalfInt, hi
+from .halfint import hi
 
 
-# -- branching -------------------------------------------------------------
+# -- closed-form branching (the oracle of chains.branch) -------------------
 
 def chain2_tmax(g, ms):
     """Highest isospin on the M_S diagonal of g."""
@@ -52,20 +52,6 @@ def chain2_mult(g, ms, t):
         u = (g.R + g.S - t).as_fraction()
         n = _fcount(u, (g.R - g.S).as_fraction(), ms.as_fraction())
     return max(0, n)
-
-
-def chain2_branch(g):
-    """All (M_S, T, mult) with mult >= 1; M_S descending, T ascending."""
-    trs = g.R.twice + g.S.twice
-    out = []
-    for tms in range(trs, -trs - 1, -2):
-        ms = HalfInt(tms)
-        tmax = chain2_tmax(g, ms)
-        for tt in range(trs % 2, tmax.twice + 1, 2):
-            mu = chain2_mult(g, ms, HalfInt(tt))
-            if mu:
-                out.append((ms, HalfInt(tt), mu))
-    return out
 
 
 # -- brackets and tables ---------------------------------------------------

@@ -8,14 +8,17 @@ chain's row labels plus m, which `chains.transform` relies on.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
-from so5racah.angmom import chain3_brackets
+from so5racah.angmom import chain3_brackets, chain3_level
+from so5racah.chains import branch, weight_basis
 from so5racah.cli import main
+from so5racah.errors import InternalInconsistency
 from so5racah.halfint import HalfInt, mrange
-from so5racah.isospin import chain2_brackets
+from so5racah.isospin import chain2_brackets, chain2_level
 from so5racah.so5 import So5Irrep
 
 DIGESTS = {
@@ -99,3 +102,26 @@ def test_bracket_keys_are_row_labels(g):
         for key in brackets(irrep).labels():
             assert tuple(map(type, key)) == shape, key
             assert key[-1] in mrange(key[-2]), key
+
+
+def test_branch_rejects_a_level_that_outgrows_the_one_below():
+    # a synthetic one-sector basis whose states are their doubled level
+    # weights: two states at m = 1 over one at m = 0 would make the
+    # multiplicity of j = 0 negative
+    def level(twice_m):
+        return (), HalfInt(twice_m)
+    assert branch([2, 0, 0, -2], level) == [(HalfInt(0), 1), (HalfInt(2), 1)]
+    with pytest.raises(InternalInconsistency, match="outgrows"):
+        branch([2, 2, 0, -2, -2], level)
+
+
+@pytest.mark.parametrize("level", [chain2_level, chain3_level])
+def test_branch_counts_only_nonnegative_m(level):
+    # a real irrep's levels shrink below m = 0, which is no violation
+    g = So5Irrep(1, HalfInt(1))
+    basis = weight_basis(g)
+    sizes = Counter(map(level, basis))
+    assert any(sizes[sec, m] < sizes[sec, m + 1]
+               for sec, m in sizes if m < 0)
+    out = branch(basis, level)
+    assert sum((lab[-2].twice + 1) * lab[-1] for lab in out) == g.dim

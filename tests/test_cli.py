@@ -115,6 +115,31 @@ def test_branch_angmom():
     assert r.output.strip() == "L = 1, 3"
 
 
+def test_branch_isospin_golden():
+    # every M_S line of one irrep, M_S descending and T ascending
+    r = run("branch", "--g", "(7/2,3/2)", "--chain", "isospin")
+    assert r.exit_code == 0
+    assert r.output == "\n".join([
+        "MS=5: T = 2",
+        "MS=4: T = 1, 2, 3",
+        "MS=3: T = 0, 1, 2^2, 3, 4",
+        "MS=2: T = 1^2, 2^2, 3^2, 4, 5",
+        "MS=1: T = 0, 1, 2^3, 3^2, 4^2, 5",
+        "MS=0: T = 1^2, 2^2, 3^3, 4^2, 5",
+        "MS=-1: T = 0, 1, 2^3, 3^2, 4^2, 5",
+        "MS=-2: T = 1^2, 2^2, 3^2, 4, 5",
+        "MS=-3: T = 0, 1, 2^2, 3, 4",
+        "MS=-4: T = 1, 2, 3",
+        "MS=-5: T = 2",
+    ]) + "\n"
+
+
+def test_branch_angmom_multiplicities():
+    r = run("branch", "--g", "(2,1)", "--chain", "angmom")
+    assert r.exit_code == 0
+    assert r.output == "L = 1, 2, 3^2, 4, 5^2, 6, 7\n"
+
+
 def test_brackets_isospin_mixing():
     r = run("brackets", "--g", "(1,1/2)", "--chain", "isospin")
     assert r.exit_code == 0
@@ -182,9 +207,9 @@ def test_engine_failure_is_exit_1(tmp_path, monkeypatch, command, name):
     # every command maps an engine self-check failure to exit 1
     from so5racah import cli
     if name == "_TABLE_CHAINS":
-        _, check, names = cli._TABLE_CHAINS["isospin"]
+        level, _, check, names = cli._TABLE_CHAINS["isospin"]
         monkeypatch.setitem(cli._TABLE_CHAINS, "isospin",
-                            (_inconsistent, check, names))
+                            (level, _inconsistent, check, names))
     else:
         monkeypatch.setattr(cli, name, _inconsistent)
     monkeypatch.chdir(tmp_path)
@@ -691,14 +716,15 @@ def test_verify_checks_each_irrep_once(tmp_path, monkeypatch):
         r = run("couple", "--chain", "isospin", "--g1", "(1/2,0)", "--g2", g2,
                 "--g", g, "--store", store)
         assert r.exit_code == 0
-    brackets, check, names = cli._TABLE_CHAINS["isospin"]
+    level, brackets, check, names = cli._TABLE_CHAINS["isospin"]
     calls = []
 
     def counting(g, bs):
         calls.append(str(g))
         return check(g, bs)
 
-    monkeypatch.setitem(cli._TABLE_CHAINS, "isospin", (brackets, counting, names))
+    monkeypatch.setitem(cli._TABLE_CHAINS, "isospin",
+                        (level, brackets, counting, names))
     v = run("verify", "--store", store)
     assert v.exit_code == 0, v.output
     assert v.output.count("ok   isospin|") == 2

@@ -1,10 +1,10 @@
 from collections import Counter
 from fractions import Fraction
 
-from so5racah.chains import casimir, weight_basis
+from so5racah.chains import branch, casimir, weight_basis
 from so5racah.exact import RS_ZERO, render_value, rs
 from so5racah.halfint import HalfInt, hi
-from so5racah.isospin import chain2_branch, chain2_brackets, chain2_level, \
+from so5racah.isospin import chain2_brackets, chain2_level, \
     chain2_lowering, chain2_mult, chain2_tmax, chain2_transform, \
     verify_chain2_brackets
 from so5racah.racah import solve_isoscalars
@@ -12,6 +12,11 @@ from so5racah.so4 import So4Irrep
 from so5racah.so5 import So5Irrep, so5_branch_so4
 
 H = Fraction(1, 2)
+
+
+def _branch(g):
+    """(M_S, T, multiplicity) triples of g, counted by chains.branch."""
+    return branch(weight_basis(g), chain2_level)
 
 
 def _weight_census(g):
@@ -47,14 +52,21 @@ def test_mult_formula_matches_weight_counting():
                           if (tt - tmax.twice) % 2 == 0]:
                     oracle = census.get((ms, t), 0) - census.get((ms, t + 1), 0)
                     assert chain2_mult(g, ms, t) == max(oracle, 0), (g, ms, t)
+            # the counted branching lists the closed form's multiplets,
+            # M_S descending and T ascending
+            closed = [(ms, t, chain2_mult(g, ms, t))
+                      for ms in sorted(ms_all, reverse=True)
+                      for t in map(HalfInt, range((tr + ts) % 2,
+                                                  chain2_tmax(g, ms).twice + 1, 2))]
+            assert _branch(g) == [c for c in closed if c[2]], g
 
 
 def test_branch_example():
     g = So5Irrep(Fraction(7, 2), Fraction(3, 2))
-    at2 = [(str(t), mu) for ms, t, mu in chain2_branch(g) if ms == 2]
+    at2 = [(str(t), mu) for ms, t, mu in _branch(g) if ms == 2]
     assert at2 == [("1", 2), ("2", 2), ("3", 2), ("4", 1), ("5", 1)]
     # branching accounts for the full dimension
-    assert sum((t.twice + 1) * mu for _, t, mu in chain2_branch(g)) == g.dim
+    assert sum((t.twice + 1) * mu for _, t, mu in _branch(g)) == g.dim
 
 
 def test_branch_dim_conservation():
@@ -62,7 +74,7 @@ def test_branch_dim_conservation():
         for ts in range(0, tr + 1):
             g = So5Irrep(HalfInt(tr), HalfInt(ts))
             assert sum((t.twice + 1) * mu
-                       for _, t, mu in chain2_branch(g)) == g.dim
+                       for _, t, mu in _branch(g)) == g.dim
 
 
 def test_t2_matrix_frozen():
@@ -158,10 +170,10 @@ def test_transform_rows_cover_all_couplings():
     g1, g2, g = So5Irrep(H, H), So5Irrep(H, H), So5Irrep(1, 1)
     rows = _table(g1, g2, g)
     b1 = {(ms.twice, t.twice, k) for ms, t, k in
-          [(ms, t, k) for ms, t, mu in chain2_branch(g1)
+          [(ms, t, k) for ms, t, mu in _branch(g1)
            for k in range(1, mu + 1)]}
     seen1 = {(r.ms1.twice, r.t1.twice, r.k1) for r in rows}
     assert seen1 <= b1
     # every bra label of the product irrep shows up
-    bg = {(ms.twice, t.twice) for ms, t, mu in chain2_branch(g)}
+    bg = {(ms.twice, t.twice) for ms, t, mu in _branch(g)}
     assert {(r.ms.twice, r.t.twice) for r in rows} == bg
