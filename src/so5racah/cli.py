@@ -14,6 +14,7 @@ from .angmom import chain3_brackets, chain3_level, chain3_transform, \
     verify_chain3_brackets
 from .chains import branch as chain_branch, weight_basis
 from .errors import NotInSeries, So5Error, StoreError
+from .exact import RS_ONE, RS_ZERO, parse_value
 from .formats import block_record, chain2_record, chain3_record, \
     render_record
 from .halfint import HalfInt
@@ -252,13 +253,35 @@ def tabulate(max_r, chain, jobs, store_path):
                % (len(work), len(couplings) - len(work), store_path))
 
 
+def _bra_sums(payload):
+    """Bra-sum orthonormality of a chain-table payload: for each product
+    label the rho vectors over the factor labels are orthonormal.  A row's
+    fields are lab1, lab2, lab and values, the labels of equal length, as
+    chains.transform makes them."""
+    groups = {}
+    for row in payload["rows"]:
+        labels = ["%s=%s" % fv for fv in row.items() if fv[0] != "values"]
+        groups.setdefault(" ".join(labels[len(labels) * 2 // 3:]), []).append(
+            [parse_value(v) for v in row["values"]])
+    problems = []
+    for lab, vecs in groups.items():
+        for a in range(len(vecs[0])):
+            for b in range(a, len(vecs[0])):
+                s = sum((v[a] * v[b] for v in vecs), RS_ZERO)
+                if s != (RS_ONE if a == b else RS_ZERO):
+                    problems.append("bra-sum at %s: <%d|%d> = %s"
+                                    % (lab, a + 1, b + 1, s))
+    return problems
+
+
 def _verify_record(key, h, checked):
     """Problems of the record stored under key with content hash h, whose
     coupling is solved afresh: the block must pass verify_block, a chain
-    table's irreps their bracket check, and h must be the hash of the
-    derived payload.  Each check runs once per run: checked maps a
-    coupling (g1, g2, g) to its (block, problems) and (chain, irrep) to
-    the irrep's bracket problems."""
+    table's irreps their bracket check and the derived table its bra
+    sums, and h must be the hash of the derived payload.  Each block and
+    bracket check runs once per run: checked maps a coupling (g1, g2, g)
+    to its (block, problems) and (chain, irrep) to the irrep's bracket
+    problems."""
     try:
         chain, *labels = parse_key(key)
         irreps = [So5Irrep.parse(s) for s in labels]
@@ -273,13 +296,15 @@ def _verify_record(key, h, checked):
         checked[coupling] = block, verify_block(block, system)
     block, problems = checked[coupling]
     problems = list(problems)
+    payload = _payload(chain, block)
     if chain in _TABLE_CHAINS:
         _, brackets, check, _ = _TABLE_CHAINS[chain]
         for g in dict.fromkeys(irreps):
             if (chain, g) not in checked:
                 checked[chain, g] = check(g, brackets(g))
             problems += checked[chain, g]
-    if payload_hash(_payload(chain, block)) != h:
+        problems += _bra_sums(payload)
+    if payload_hash(payload) != h:
         problems.append("record differs from the one re-derived from the "
                         "coupling its key names")
     return problems
@@ -291,8 +316,8 @@ def verify(store_path):
     """Re-check every stored record: content hashes, then the record its
     key names is re-derived from a freshly solved block that must pass
     the exactness reports (row annihilation, orthonormality, bracket
-    unitarity, eigen-relations) and equal the stored one.  One line per
-    record; exit 1 if anything fails."""
+    unitarity, eigen-relations, chain-table bra sums) and equal the
+    stored one.  One line per record; exit 1 if anything fails."""
     st = Store(store_path)
     if not os.path.exists(st.index_path):
         raise StoreError("no store at %s: index.json is missing" % store_path)

@@ -557,6 +557,37 @@ def test_verify_checks_the_block_of_a_table(tmp_path, monkeypatch):
     assert "     - planted" in v.output
 
 
+def test_verify_checks_chain_table_bra_sums(tmp_path, monkeypatch):
+    # a deterministic transform fault re-derives the same faulty table, so
+    # the hash compare passes it; the bra sums of the derived table do not
+    from so5racah import cli
+
+    def doubling(transform):
+        def faulty(block):
+            rows = transform(block)
+            i = next(i for i, r in enumerate(rows) if not r.values[0].is_zero())
+            rows[i] = rows[i]._replace(
+                values=(rows[i].values[0] * 2,) + rows[i].values[1:])
+            return rows
+        return faulty
+
+    monkeypatch.setattr(cli, "chain2_transform", doubling(cli.chain2_transform))
+    monkeypatch.setattr(cli, "chain3_transform", doubling(cli.chain3_transform))
+    store = str(tmp_path / "st")
+    for chain in ("isospin", "angmom"):
+        r = run("tabulate", "--max-r", "1/2", "--chain", chain, "--store", store)
+        assert r.exit_code == 0, r.output
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1, v.output
+    lines = v.output.splitlines()
+    records = [l for l in lines if l.startswith(("ok  ", "FAIL"))]
+    assert len(records) > 2 and all(l.startswith("FAIL") for l in records)
+    assert lines[-1] == "%d records checked, %d failed" % (len(records),
+                                                           len(records))
+    assert len([l for l in lines if "- bra-sum at " in l]) >= len(records)
+    assert "record differs" not in v.output
+
+
 def test_store_cache_and_reuse(tmp_path):
     store = str(tmp_path / "st")
     args = ("--g1", "(1/2,1/2)", "--g2", "(1/2,0)", "--g", "(1/2,0)")
