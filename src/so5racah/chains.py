@@ -203,13 +203,13 @@ def ladder(basis, level, lower):
     the level above are normalized by sqrt((j+m+1)(j-m)); at every level
     with m >= 0 they are completed to a basis of the level by
     Gram-Schmidt against the level's states in basis order, each
-    completion starting a new multiplet j = m.  The number of new
-    multiplets is the growth of the level size from m+1 to m.
+    completion starting a new multiplet j = m; branch gives their number.
 
     Returns the BracketSet over basis keyed sector + (k, j, m) in
     creation order, sectors descending, k numbering the multiplets of
     equal (sector, j).
     """
+    mus = {lab[:-1]: lab[-1] for lab in branch(basis, level)}
     levels = {}
     for i, state in enumerate(basis):
         levels.setdefault(level(state), []).append(i)
@@ -233,29 +233,28 @@ def ladder(basis, level, lower):
                     1, Fraction((j.twice + tm + 2) * (j.twice - tm), 4))
                 stepped.append((j, k, {i: v / scale for i, v in new.items()}))
             live = stepped
-            if tm >= 0:
-                mu = len(members) - len(levels.get((sector, m + 1), ()))
-                added = 0
-                for cand in members:
-                    if added == mu:
-                        break
-                    resid = {cand: RS_ONE}
-                    for _, _, vec in live:
-                        if cand in vec:
-                            _axpy(resid, -vec[cand], vec)
-                    if not resid:
-                        continue
-                    norm2 = _dot(resid.items(), resid)
-                    if not norm2.is_rational() or norm2.rational() <= 0:
-                        raise DegenerateForm(
-                            "residual norm %s at m=%s, sector %s" % (norm2, m, sector))
-                    scale = root_of_rational(1, norm2.rational())
-                    added += 1
-                    live.append((m, added, {i: v / scale for i, v in resid.items()}))
-                if added < mu:
-                    raise InternalInconsistency(
-                        "could not seat %d new j=%s multiplets, sector %s"
-                        % (mu, m, sector))
+            mu = mus.get(sector + (m,), 0)
+            added = 0
+            for cand in members:
+                if added == mu:
+                    break
+                resid = {cand: RS_ONE}
+                for _, _, vec in live:
+                    if cand in vec:
+                        _axpy(resid, -vec[cand], vec)
+                if not resid:
+                    continue
+                norm2 = _dot(resid.items(), resid)
+                if not norm2.is_rational() or norm2.rational() <= 0:
+                    raise DegenerateForm(
+                        "residual norm %s at m=%s, sector %s" % (norm2, m, sector))
+                scale = root_of_rational(1, norm2.rational())
+                added += 1
+                live.append((m, added, {i: v / scale for i, v in resid.items()}))
+            if added < mu:
+                raise InternalInconsistency(
+                    "could not seat %d new j=%s multiplets, sector %s"
+                    % (mu, m, sector))
             if len(live) != len(members):
                 raise InternalInconsistency(
                     "level (%s, %s): %d vectors for %d states"

@@ -14,13 +14,12 @@ from .angmom import chain3_brackets, chain3_level, chain3_transform, \
     verify_chain3_brackets
 from .chains import branch as chain_branch, weight_basis
 from .errors import NotInSeries, So5Error, StoreError
-from .exact import RS_ONE, RS_ZERO, parse_value
 from .formats import block_record, chain2_record, chain3_record, \
     render_record
 from .halfint import HalfInt
 from .isospin import chain2_brackets, chain2_level, chain2_transform, \
     verify_chain2_brackets
-from .racah import build_system, solve_isoscalars, verify_block
+from .racah import bra_sums, build_system, solve_isoscalars, verify_block
 from .so5 import So5Irrep, so5_branch_so4, so5_kronecker
 from .store import Store, parse_key, payload_hash, record_key
 
@@ -53,13 +52,23 @@ def _parse_halfint(s):
 
 def _payload(chain, block):
     """The record payload of a coupling in one chain, derived from its
-    canonical block."""
+    canonical block, and the chain-table rows it holds (None for so4)."""
     if chain == "so4":
-        return block_record(block)
+        return block_record(block), None
     if chain == "isospin":
-        return chain2_record(block.g1, block.g2, block.g,
-                             chain2_transform(block))
-    return chain3_record(block.g1, block.g2, block.g, chain3_transform(block))
+        rows = chain2_transform(block)
+        return chain2_record(block.g1, block.g2, block.g, rows), rows
+    rows = chain3_transform(block)
+    return chain3_record(block.g1, block.g2, block.g, rows), rows
+
+
+def _product_label(row):
+    """The product label of a chain-table row as "ms=0 k=1 t=0".  A row's
+    fields are lab1, lab2, lab and values, the labels of equal length, as
+    chains.transform makes them."""
+    n = len(row) // 3
+    return " ".join("%s=%s" % fv for fv in zip(row._fields[2 * n:3 * n],
+                                                row[2 * n:3 * n]))
 
 
 def _rendered(store_path, chain, g1, g2, g, fmt, digits):
@@ -70,7 +79,7 @@ def _rendered(store_path, chain, g1, g2, g, fmt, digits):
     st = None if store_path is None else Store(store_path)
     key = record_key(chain, str(g1), str(g2), str(g))
     if st is None or st.hash_for(key) is None:
-        payload = _payload(chain, solve_isoscalars(g1, g2, g))
+        payload = _payload(chain, solve_isoscalars(g1, g2, g))[0]
         if st is not None:
             st.write_record(key, payload)
             st.flush_index()
@@ -210,7 +219,7 @@ def brackets(g, chain):
 def _tabulate_worker(args):
     chain, *labels = args
     block = solve_isoscalars(*(So5Irrep.parse(s) for s in labels))
-    return record_key(chain, *labels), _payload(chain, block)
+    return record_key(chain, *labels), _payload(chain, block)[0]
 
 
 @main.command()
@@ -253,27 +262,6 @@ def tabulate(max_r, chain, jobs, store_path):
                % (len(work), len(couplings) - len(work), store_path))
 
 
-def _bra_sums(payload):
-    """Bra-sum orthonormality of a chain-table payload: for each product
-    label the rho vectors over the factor labels are orthonormal.  A row's
-    fields are lab1, lab2, lab and values, the labels of equal length, as
-    chains.transform makes them."""
-    groups = {}
-    for row in payload["rows"]:
-        labels = ["%s=%s" % fv for fv in row.items() if fv[0] != "values"]
-        groups.setdefault(" ".join(labels[len(labels) * 2 // 3:]), []).append(
-            [parse_value(v) for v in row["values"]])
-    problems = []
-    for lab, vecs in groups.items():
-        for a in range(len(vecs[0])):
-            for b in range(a, len(vecs[0])):
-                s = sum((v[a] * v[b] for v in vecs), RS_ZERO)
-                if s != (RS_ONE if a == b else RS_ZERO):
-                    problems.append("bra-sum at %s: <%d|%d> = %s"
-                                    % (lab, a + 1, b + 1, s))
-    return problems
-
-
 def _verify_record(key, h, checked):
     """Problems of the record stored under key with content hash h, whose
     coupling is solved afresh: the block must pass verify_block, a chain
@@ -296,14 +284,15 @@ def _verify_record(key, h, checked):
         checked[coupling] = block, verify_block(block, system)
     block, problems = checked[coupling]
     problems = list(problems)
-    payload = _payload(chain, block)
+    payload, rows = _payload(chain, block)
     if chain in _TABLE_CHAINS:
         _, brackets, check, _ = _TABLE_CHAINS[chain]
         for g in dict.fromkeys(irreps):
             if (chain, g) not in checked:
                 checked[chain, g] = check(g, brackets(g))
             problems += checked[chain, g]
-        problems += _bra_sums(payload)
+        problems += bra_sums([(_product_label(r),) for r in rows],
+                             list(zip(*(r.values for r in rows))))
     if payload_hash(payload) != h:
         problems.append("record differs from the one re-derived from the "
                         "coupling its key names")

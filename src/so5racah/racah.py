@@ -162,9 +162,10 @@ class IsoscalarBlock:
 
 
 def _group_slices(columns):
+    """Column positions grouped by the last label of each column."""
     out = {}
-    for i, (_, _, lam) in enumerate(columns):
-        out.setdefault(lam, []).append(i)
+    for i, col in enumerate(columns):
+        out.setdefault(col[-1], []).append(i)
     return out
 
 
@@ -234,6 +235,22 @@ def solve_isoscalars(g1, g2, g, system=None):
     return IsoscalarBlock(g1, g2, g, columns, vectors, meta)
 
 
+def bra_sums(columns, vectors):
+    """Bra-sum orthonormality: for each product label, the last label of
+    a column, the vectors restricted to its columns are orthonormal.
+    vectors[rho-1][i] belongs to columns[i].  Returns failure strings."""
+    fails = []
+    D = len(vectors)
+    for lam, idxs in _group_slices(columns).items():
+        gram = _group_gram(vectors, idxs)
+        for a in range(D):
+            for b in range(a, D):
+                s = gram[a][b]
+                if s != (RS_ONE if a == b else RS_ZERO):
+                    fails.append("bra-sum at %s: <%d|%d> = %s" % (lam, a + 1, b + 1, s))
+    return fails
+
+
 def verify_block(block, system):
     """Exactness report: row annihilation and bra-sum orthonormality.
 
@@ -247,15 +264,7 @@ def verify_block(block, system):
             if not resid.is_zero():
                 fails.append("row %d (labels %s) does not annihilate rho=%d"
                              % (k, system.row_labels[k], rho))
-    D = block.D
-    for lam, idxs in _group_slices(block.columns).items():
-        gram = _group_gram(block.vectors, idxs)
-        for a in range(D):
-            for b in range(a, D):
-                s = gram[a][b]
-                if s != (RS_ONE if a == b else RS_ZERO):
-                    fails.append("bra-sum at %s: <%d|%d> = %s" % (lam, a + 1, b + 1, s))
-    return fails
+    return fails + bra_sums(block.columns, block.vectors)
 
 
 def verify_series(g1, g2, blocks=None):

@@ -118,7 +118,7 @@ class Store:
         try:
             with open(self.index_path, "rb") as f:
                 data = json.load(f)
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, RecursionError) as e:
             raise StoreError("cannot read index %s: %s" % (self.index_path, e))
         return _index_records(data, self.index_path)
 
@@ -144,7 +144,7 @@ class Store:
             with open(path, "rb") as f:
                 blob = f.read()
             record = json.loads(blob)
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, RecursionError) as e:
             raise StoreError("cannot read record %s of %r: %s" % (path, key, e))
         problem = _record_problem(key, h, record, blob)
         if problem:

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from so5racah.angmom import chain3_brackets, chain3_level
-from so5racah.chains import branch, weight_basis
+from so5racah.chains import branch, ladder, weight_basis
 from so5racah.cli import main
 from so5racah.errors import InternalInconsistency
 from so5racah.halfint import HalfInt, mrange
@@ -113,6 +113,9 @@ def test_branch_rejects_a_level_that_outgrows_the_one_below():
     assert branch([2, 0, 0, -2], level) == [(HalfInt(0), 1), (HalfInt(2), 1)]
     with pytest.raises(InternalInconsistency, match="outgrows"):
         branch([2, 2, 0, -2, -2], level)
+    # ladder seats the multiplets branch counts, so it stops there too
+    with pytest.raises(InternalInconsistency, match="outgrows"):
+        ladder([2, 2, 0, -2, -2], level, {})
 
 
 @pytest.mark.parametrize("level", [chain2_level, chain3_level])

@@ -245,6 +245,18 @@ def _store_bytes(root):
     return out
 
 
+NESTED = b"[" * 100000 + b"]" * 100000
+
+# every command that reads a store
+_store_commands = pytest.mark.parametrize("command", [
+    ("verify",),
+    ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)"),
+    ("transform", "--to", "isospin", "--g1", "(1/2,0)", "--g2", "(1/2,0)",
+     "--g", "(0,0)"),
+    ("tabulate", "--max-r", "0"),
+], ids=["verify", "couple", "transform", "tabulate"])
+
+
 def test_exit_code_store_error(tmp_path):
     (tmp_path / "index.json").write_text("not json at all {")
     r = run("verify", "--store", str(tmp_path))
@@ -265,13 +277,7 @@ def test_verify_without_store_is_an_error(tmp_path):
     {"schema": "so5racah-store@1", "records": {"k": 5}},
     {"schema": "so5racah-store@1", "records": {"k": "../../elsewhere/rec"}},
 ], ids=["list", "no-records", "non-string-hash", "non-hex-hash"])
-@pytest.mark.parametrize("command", [
-    ("verify",),
-    ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)"),
-    ("transform", "--to", "isospin", "--g1", "(1/2,0)", "--g2", "(1/2,0)",
-     "--g", "(0,0)"),
-    ("tabulate", "--max-r", "0"),
-], ids=["verify", "couple", "transform", "tabulate"])
+@_store_commands
 def test_malformed_index_is_a_store_error(tmp_path, index, command):
     # valid JSON of the wrong shape is reported, not a traceback
     (tmp_path / "index.json").write_text(json.dumps(index))
@@ -279,6 +285,38 @@ def test_malformed_index_is_a_store_error(tmp_path, index, command):
     assert r.exit_code == 4, r.output
     assert isinstance(r.exception, SystemExit)
     assert "store error" in r.output
+
+
+@_store_commands
+def test_deeply_nested_index_is_a_store_error(tmp_path, command):
+    # too deep for the json parser: a store error, not a RecursionError
+    (tmp_path / "index.json").write_bytes(NESTED)
+    r = run(*command, "--store", str(tmp_path))
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output
+
+
+def test_deeply_nested_record_is_a_store_error(tmp_path):
+    # couple reports it; verify fails that record and checks the rest
+    store = str(tmp_path / "st")
+    args = ("--g1", "(1/2,0)", "--g2", "(1/2,0)", "--store", store)
+    for g in ("(0,0)", "(1,0)"):
+        assert run("couple", *args, "--g", g).exit_code == 0
+    st = Store(store)
+    bad = "so4|(1/2,0) x (1/2,0) -> (0,0)"
+    with open(st.record_path(st.hash_for(bad)), "wb") as f:
+        f.write(NESTED)
+    r = run("couple", *args, "--g", "(0,0)")
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output and bad in r.output
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1, v.output
+    lines = v.output.splitlines()
+    assert "FAIL " + bad in lines
+    assert "ok   so4|(1/2,0) x (1/2,0) -> (1,0)" in lines
+    assert lines[-1] == "2 records checked, 1 failed"
 
 
 def _drop_g1(payload):
@@ -586,6 +624,13 @@ def test_verify_checks_chain_table_bra_sums(tmp_path, monkeypatch):
                                                            len(records))
     assert len([l for l in lines if "- bra-sum at " in l]) >= len(records)
     assert "record differs" not in v.output
+    # the labels and sums read as the table's own fields and values
+    for record, problem in [
+            ("FAIL isospin|(1/2,0) x (1/2,1/2) -> (1/2,0)",
+             "     - bra-sum at ms=1/2 k=1 t=1/2: <1|1> = sqrt(196/25)"),
+            ("FAIL angmom|(1/2,0) x (1/2,1/2) -> (1,1/2)",
+             "     - bra-sum at a=1 l=1/2: <1|1> = sqrt(16)")]:
+        assert lines[lines.index(record) + 1] == problem
 
 
 def test_store_cache_and_reuse(tmp_path):

@@ -78,6 +78,22 @@ def test_corrupt_index_rejected(tmp_path):
         Store(str(root)).keys()
 
 
+def test_deeply_nested_json_is_a_store_error(tmp_path, payload):
+    # nesting too deep for the json parser is reported, not a RecursionError
+    st = Store(str(tmp_path / "s"))
+    h = st.write_record(KEY, payload)
+    st.flush_index()
+    nested = b"[" * 100000 + b"]" * 100000
+    with open(st.record_path(h), "wb") as f:
+        f.write(nested)
+    with pytest.raises(StoreError, match="cannot read record"):
+        Store(str(tmp_path / "s")).read_record(KEY)
+    with open(st.index_path, "wb") as f:
+        f.write(nested)
+    with pytest.raises(StoreError, match="cannot read index"):
+        Store(str(tmp_path / "s")).keys()
+
+
 def test_wrong_schema_rejected(tmp_path):
     root = tmp_path / "s"
     root.mkdir()
