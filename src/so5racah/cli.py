@@ -36,18 +36,11 @@ CHAINS = ("so4",) + tuple(_TABLE_CHAINS)
 FORMATS = ("text", "csv", "json", "float")
 
 
-def _parse_irrep(s):
+def _parse(parse, what, s):
     try:
-        return So5Irrep.parse(s)
+        return parse(s)
     except (So5Error, ValueError) as e:
-        raise click.UsageError("bad irrep %r: %s" % (s, e))
-
-
-def _parse_halfint(s):
-    try:
-        return HalfInt.parse(s)
-    except ValueError as e:
-        raise click.UsageError("bad half-integer %r: %s" % (s, e))
+        raise click.UsageError("bad %s %r: %s" % (what, s, e))
 
 
 def _payload(chain, block):
@@ -154,7 +147,7 @@ def _coupling_options(chain_option):
                                 type=click.Choice(CHAINS)))
 def couple(g1, g2, g, chain, fmt, digits, output, store_path):
     """One coupling: solve (or load) and print the coefficient table."""
-    t1, t2, t = _parse_irrep(g1), _parse_irrep(g2), _parse_irrep(g)
+    t1, t2, t = (_parse(So5Irrep.parse, "irrep", s) for s in (g1, g2, g))
     _emit(_rendered(store_path, chain, t1, t2, t, fmt, digits), output)
 
 
@@ -163,7 +156,7 @@ def couple(g1, g2, g, chain, fmt, digits, output, store_path):
                                 type=click.Choice(tuple(_TABLE_CHAINS))))
 def transform(g1, g2, g, chain, fmt, digits, output, store_path):
     """Transform a canonical-chain block to another subalgebra chain."""
-    t1, t2, t = _parse_irrep(g1), _parse_irrep(g2), _parse_irrep(g)
+    t1, t2, t = (_parse(So5Irrep.parse, "irrep", s) for s in (g1, g2, g))
     _emit(_rendered(store_path, chain, t1, t2, t, fmt, digits), output)
 
 
@@ -174,7 +167,7 @@ def transform(g1, g2, g, chain, fmt, digits, output, store_path):
 @click.option("--ms", default=None, help="restrict isospin output to one M_S")
 def branch(g, chain, ms):
     """Branching content of one irrep in the chosen chain."""
-    t = _parse_irrep(g)
+    t = _parse(So5Irrep.parse, "irrep", g)
     if ms is not None and chain != "isospin":
         raise click.UsageError("--ms only applies to --chain isospin")
     if chain == "so4":
@@ -186,7 +179,8 @@ def branch(g, chain, ms):
     for *sector, j, mu in chain_branch(weight_basis(t), level):
         rows.setdefault(tuple(sector), []).append(
             str(j) if mu == 1 else "%s^%d" % (j, mu))
-    shown = list(rows) if ms is None else [(_parse_halfint(ms),)]
+    shown = list(rows) if ms is None \
+        else [(_parse(HalfInt.parse, "half-integer", ms),)]
     if shown[0] not in rows:
         raise click.UsageError("M_S=%s does not occur in %s" % (shown[0][0], t))
     for sector in shown:
@@ -210,7 +204,7 @@ def _fmt_terms(pairs):
 def brackets(g, chain):
     """Transformation brackets of one irrep, one chain vector per line."""
     _, ladder, _, names = _TABLE_CHAINS[chain]
-    bs = ladder(_parse_irrep(g))
+    bs = ladder(_parse(So5Irrep.parse, "irrep", g))
     for key in bs.labels():
         label = " ".join("%s=%s" % pair for pair in zip(names, key))
         click.echo("|%s> = %s" % (label, _fmt_terms(bs.vector(key))))
@@ -237,7 +231,7 @@ def tabulate(max_r, chain, jobs, store_path):
     of --jobs: records are content-addressed and the index is written
     once, in sorted key order.
     """
-    bound = _parse_halfint(max_r)
+    bound = _parse(HalfInt.parse, "half-integer", max_r)
     if bound.twice < 0:
         raise click.UsageError("--max-r must not be negative, got %s" % bound)
     st = Store(store_path)

@@ -6,6 +6,7 @@ makes all label arithmetic exact and hashable without dragging
 Fraction objects through the hot loops.
 """
 
+import re
 from fractions import Fraction
 from functools import total_ordering
 
@@ -119,6 +120,43 @@ class HalfInt:
 
     def __repr__(self):
         return "HalfInt(%s)" % self
+
+
+_PAIR = re.compile(r"\s*\(\s*([0-9/+-]+)\s*,\s*([0-9/+-]+)\s*\)\s*")
+
+
+@total_ordering
+class PairLabel:
+    """An irrep label "(a,b)" of two half-integers.  A subclass names its
+    two HalfInt fields in __slots__, validates them in __init__(a, b) and
+    defines key(), which equality, order and hash follow; labels of
+    different classes never compare equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.key() == other.key()
+
+    def __lt__(self, other):
+        return self.key() < other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __str__(self):
+        a, b = self.__slots__
+        return "(%s,%s)" % (getattr(self, a), getattr(self, b))
+
+    def __repr__(self):
+        a, b = self.__slots__
+        return "%s(%s, %s)" % (type(self).__name__, getattr(self, a), getattr(self, b))
+
+    @classmethod
+    def parse(cls, s):
+        m = _PAIR.fullmatch(s)
+        if not m:
+            raise ValueError("cannot parse irrep %r" % s)
+        return cls(HalfInt.parse(m.group(1)), HalfInt.parse(m.group(2)))
 
 
 def hi(x):

@@ -12,15 +12,11 @@ Two total orders matter and they differ:
   peeling sense always means maximal in this order.
 """
 
-import re
-from functools import total_ordering
-
-from .halfint import HalfInt, mrange, triangle, trirange
+from .halfint import HalfInt, PairLabel, mrange, triangle, trirange
 from .su2 import su2_cg, su2_phi, su2_usixj
 
 
-@total_ordering
-class So4Irrep:
+class So4Irrep(PairLabel):
     """Irrep label (X, Y)."""
 
     __slots__ = ("X", "Y")
@@ -44,28 +40,6 @@ class So4Irrep:
     def weights(self):
         """All (M_X, M_Y) pairs."""
         return [(mx, my) for mx in mrange(self.X) for my in mrange(self.Y)]
-
-    def __eq__(self, other):
-        return isinstance(other, So4Irrep) and self.key() == other.key()
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __str__(self):
-        return "(%s,%s)" % (self.X, self.Y)
-
-    def __repr__(self):
-        return "So4Irrep(%s, %s)" % (self.X, self.Y)
-
-    @staticmethod
-    def parse(s):
-        m = re.fullmatch(r"\s*\(\s*([0-9/+-]+)\s*,\s*([0-9/+-]+)\s*\)\s*", s)
-        if not m:
-            raise ValueError("cannot parse irrep %r" % s)
-        return So4Irrep(HalfInt.parse(m.group(1)), HalfInt.parse(m.group(2)))
 
 
 HALFHALF = So4Irrep(HalfInt(1), HalfInt(1))

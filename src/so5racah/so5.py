@@ -7,19 +7,17 @@ Conversions to the other labeling schemes found in the literature go
 through the Cartan highest weight [l1, l2] = [R+S, R-S].
 """
 
-import re
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 from .errors import BranchingViolation, InternalInconsistency, OutOfRange
 from .exact import RAD_ZERO, root_of_rational
-from .halfint import HalfInt, sign_pow
+from .halfint import HalfInt, PairLabel, sign_pow
 from .so4 import So4Irrep, so4_kronecker
 
 
-@total_ordering
-class So5Irrep:
+class So5Irrep(PairLabel):
     """Irrep label (R, S), R >= S >= 0."""
 
     __slots__ = ("R", "S")
@@ -41,28 +39,6 @@ class So5Irrep:
         num = (tl1 + 3) * (tl2 + 1) * ((tl1 + tl2) // 2 + 2) * ((tl1 - tl2) // 2 + 1)
         assert num % 6 == 0
         return num // 6
-
-    def __eq__(self, other):
-        return isinstance(other, So5Irrep) and self.key() == other.key()
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __str__(self):
-        return "(%s,%s)" % (self.R, self.S)
-
-    def __repr__(self):
-        return "So5Irrep(%s, %s)" % (self.R, self.S)
-
-    @staticmethod
-    def parse(s):
-        m = re.fullmatch(r"\s*\(\s*([0-9/+-]+)\s*,\s*([0-9/+-]+)\s*\)\s*", s)
-        if not m:
-            raise ValueError("cannot parse irrep %r" % s)
-        return So5Irrep(HalfInt.parse(m.group(1)), HalfInt.parse(m.group(2)))
 
 
 # -- labeling schemes ------------------------------------------------------

@@ -173,8 +173,15 @@ def test_exit_code_bad_irrep():
      "M_S=7/2 does not occur in (1,0)"),
     (("branch", "--g", "(0,0)", "--chain", "isospin", "--ms", "1"),
      "M_S=1 does not occur in (0,0)"),
+    (("couple", "--g1", "1/2,0", "--g2", "(1/2,0)", "--g", "(1/2,0)"),
+     "bad irrep '1/2,0': cannot parse irrep '1/2,0'"),
+    (("brackets", "--g", "(0,1)", "--chain", "isospin"),
+     "bad irrep '(0,1)': need R >= S >= 0"),
+    (("branch", "--g", "(1,0)", "--chain", "isospin", "--ms", "1/3"),
+     "bad half-integer '1/3': 1/3 is not a half-integer"),
 ], ids=["couple", "transform", "brackets", "branch", "tabulate",
-        "tabulate-negative", "branch-ms-out-of-range", "branch-ms-absent"])
+        "tabulate-negative", "branch-ms-out-of-range", "branch-ms-absent",
+        "couple-unparsable", "brackets-out-of-range", "branch-ms-not-half"])
 def test_zero_denominator_is_a_usage_error(tmp_path, args, message):
     # so is a negative --max-r, which would otherwise tabulate nothing,
     # and an --ms the irrep lacks, which would otherwise print nothing

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from so5racah.exact import RS_ZERO, Radical, rs
-from so5racah.halfint import hi, jrange
+from so5racah.halfint import HalfInt, hi, jrange
 from so5racah.so4 import HALFHALF, SCALAR, So4Irrep, so4_cg, so4_kronecker, \
     so4_phi, so4_triangle, so4_usixj
+from so5racah.so5 import So5Irrep
 
 H = Fraction(1, 2)
 
@@ -21,6 +22,27 @@ def test_labels():
         So4Irrep(-1, 0)
     with pytest.raises(ValueError):
         So4Irrep.parse("1/2,1")
+
+
+@pytest.mark.parametrize("cls, other", [(So4Irrep, So5Irrep), (So5Irrep, So4Irrep)],
+                         ids=["so4", "so5"])
+def test_label_contract(cls, other):
+    # So4Irrep and So5Irrep share one label base: equality, order, hash,
+    # text form and parser
+    forms = [cls(1, H), cls(Fraction(2, 2), H), cls(HalfInt(2), HalfInt(1))]
+    assert all(g == forms[0] and hash(g) == hash(forms[0]) for g in forms)
+    g = forms[0]
+    assert g != other(1, H) and g != (1, H) and g != g.key()
+    labels = [cls(1, 1), cls(H, 0), cls(Fraction(3, 2), H), cls(1, 0), cls(0, 0)]
+    assert [x.key() for x in sorted(labels)] == sorted(x.key() for x in labels)
+    assert str(g) == "(1,1/2)"
+    assert repr(g) == "%s(1, 1/2)" % cls.__name__
+    for x in labels:
+        assert type(cls.parse(str(x))) is cls and cls.parse(str(x)) == x
+    for bad in ["1/2,1", "(1/2;1)", "(a,b)", ""]:
+        with pytest.raises(ValueError) as e:
+            cls.parse(bad)
+        assert str(e.value) == "cannot parse irrep %r" % bad
 
 
 def test_orders_differ():
