@@ -4,8 +4,9 @@ Every scalar in the coupling-coefficient pipeline is a finite sum of
 rationals times square roots of distinct squarefree positive integers.
 That ring is closed under addition and multiplication, so the whole
 computation runs without floats.  Division is by a rational or a single
-radical only: the linear algebra eliminates over the rationals (see
-``linalg``), so nothing needs the inverse of a sum.
+radical only: the linear algebra eliminates on the rational factor of
+each matrix, modulo a prime (see ``linalg``), so nothing needs the
+inverse of a sum.
 
 Two value types:
 

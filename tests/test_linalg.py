@@ -5,12 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from so5racah.errors import DegenerateForm, NotFactorable
-from so5racah.exact import RS_ONE, RS_ZERO, Radical, RadicalSum, canonicalize, rs
+from so5racah.errors import DegenerateForm, InternalInconsistency, NotFactorable
+from so5racah.exact import (RS_ONE, RS_ZERO, Radical, RadicalSum, canonicalize,
+                            root_of_rational, rs)
 from so5racah.halfint import HalfInt
-from so5racah.linalg import ExactMatrix, gram_schmidt, vec_dot
+from so5racah import linalg
+from so5racah.linalg import (ExactMatrix, _factor, _rref_exact, _rref_mod,
+                             gram_schmidt, vec_dot)
 from so5racah.racah import build_system
 from so5racah.so5 import So5Irrep, so5_kronecker
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
+
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
 
 def F(a, b=1):
@@ -136,13 +146,14 @@ def racah_systems():
     """The Racah systems of the 109 couplings with R1,R2 <= 1."""
     irreps = [So5Irrep(HalfInt(tr), HalfInt(ts))
               for tr in range(3) for ts in range(tr + 1)]
-    return [(g1, g2, g, build_system(g1, g2, g).matrix)
+    return [(g1, g2, g, build_system(g1, g2, g))
             for g1 in irreps for g2 in irreps for g in so5_kronecker(g1, g2)]
 
 
 def test_rank_matches_numpy_on_racah_systems(racah_systems):
     assert len(racah_systems) == 109
-    for g1, g2, g, m in racah_systems:
+    for g1, g2, g, s in racah_systems:
+        m = s.matrix
         a = np.array([[float(x.decimal(25)) for x in r] for r in _dense(m)])
         assert m.rank() == np.linalg.matrix_rank(a), (g1, g2, g)
 
@@ -153,7 +164,8 @@ def test_racah_systems_are_sparse_single_radicals(racah_systems):
     # vector of radical sums
     rng = random.Random(5)
     hit = 0
-    for g1, g2, g, m in racah_systems:
+    for g1, g2, g, s in racah_systems:
+        m = s.matrix
         for row in m.entries:
             assert row and all(isinstance(x, Radical) and not x.is_zero()
                                for x in row.values()), (g1, g2, g)
@@ -166,7 +178,115 @@ def test_racah_systems_are_sparse_single_radicals(racah_systems):
             assert m.matvec(v) == [vec_dot(row, v) for row in dense], (g1, g2, g)
         hit += any(not x.is_zero() for x in m.matvec(rand))
     # the random vector is a real check: it leaves residuals
-    assert hit == sum(1 for *_, m in racah_systems if m.nrows)
+    assert hit == sum(1 for *_, s in racah_systems if s.matrix.nrows)
+
+
+def _sympy_rref(q, ncols):
+    """sympy's RREF of sparse integer rows: (dense Fraction rows, pivots)."""
+    dense = sympy.zeros(len(q), ncols)
+    for i, row in enumerate(q):
+        for j, x in row.items():
+            dense[i, j] = x
+    red, pivots = dense.rref()
+    return ([[Fraction(int(x.p), int(x.q)) for x in red.row(i)]
+             for i in range(len(pivots))], list(pivots))
+
+
+@needs_sympy
+def test_rref_matches_sympy_on_racah_systems(racah_systems):
+    # every system of the 109 couplings and, for each augmented one,
+    # the matrix before augmentation, whose rank decides that rows are
+    # added
+    mats = []
+    for g1, g2, g, s in racah_systems:
+        m = s.matrix
+        mats.append((m.entries, m.ncols))
+        if s.n_augmented:
+            mats.append((m.entries[:m.nrows - s.n_augmented], m.ncols))
+    assert len(mats) == 109 + 5
+    for entries, ncols in mats:
+        q, _ = _factor(entries, ncols)
+        want_rows, want_pivots = _sympy_rref(q, ncols)
+        rows, pivots = _rref_exact(q, ncols)
+        assert pivots == want_pivots
+        assert [[row.get(c, 0) for c in range(ncols)] for row in rows] == want_rows
+        assert ExactMatrix(entries, ncols).rref()[1] == want_pivots
+
+
+_SPARSE_INT = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+
+
+@st.composite
+def _planted(draw):
+    """(rank bound r, squarefree row and column scales, integer rows of
+    A B with A nr x r and B r x nc sparse)."""
+    nr = draw(st.integers(1, 7))
+    nc = draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(nr, nc)))
+    a = [[draw(_SPARSE_INT) for _ in range(r)] for _ in range(nr)]
+    b = [[draw(_SPARSE_INT) for _ in range(nc)] for _ in range(r)]
+    rows = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)]
+            for i in range(nr)]
+    ra = [draw(st.sampled_from([1, 2, 3, 6])) for _ in range(nr)]
+    rb = [draw(st.sampled_from([1, 2, 5, 6])) for _ in range(nc)]
+    return r, ra, rb, rows
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(_planted())
+def test_rref_matches_sympy_on_planted_rank(case):
+    # M = diag(sqrt ra) Q diag(sqrt rb) with Q of rank at most r; row i
+    # of RREF(M) is row i of RREF(Q) times sqrt(rb_f / rb_p)
+    r, ra, rb, rows = case
+    nc = len(rows[0])
+    m = ExactMatrix([{j: canonicalize(x, ra[i] * rb[j])
+                      for j, x in enumerate(row) if x}
+                     for i, row in enumerate(rows)], nc)
+    want_rows, want_pivots = _sympy_rref([dict(enumerate(row)) for row in rows], nc)
+    red, pivots = m.rref()
+    assert pivots == want_pivots and len(pivots) <= r
+    for row, p, dense in zip(red, pivots, want_rows):
+        assert row == {f: root_of_rational(x, Fraction(rb[f], rb[p]))
+                       for f, x in enumerate(dense) if x}
+
+
+def test_rref_rejects_an_unlucky_prime(monkeypatch):
+    # 2^61 - 1 is the first modulus: mod it row 0 vanishes and the rank
+    # drops to 1, so the certificate must reject that prime
+    p = 2**61 - 1
+    q = [{0: p}, {1: 1}]
+    assert _rref_mod(q, 2, p)[1] == [1]
+    assert _rref_exact(q, 2) == ([{0: 1}, {1: 1}], [0, 1])
+    red, pivots = _matrix([[p, 0], [0, 1]]).rref()
+    assert pivots == [0, 1]
+    assert red == [{0: Radical(1, 1)}, {1: Radical(1, 1)}]
+    monkeypatch.setattr(linalg, "_PRIMES", (p,))
+    with pytest.raises(InternalInconsistency):
+        _rref_exact(q, 2)
+
+
+def test_rref_combines_primes_for_a_large_entry(monkeypatch):
+    # the RREF entry 2^41 / 3^40 exceeds the reconstruction bound of one
+    # 61-bit prime (|n|, d <= 2^30) and of two (d <= 2^61): it takes the
+    # residues of three primes, combined by CRT
+    q = [{0: 3**40, 1: 2**41}]
+    assert _rref_exact(q, 2) == ([{0: 1, 1: Fraction(2**41, 3**40)}], [0])
+    red, pivots = _matrix([[3**40, 2**41]]).rref()
+    assert pivots == [0]
+    assert red == [{0: Radical(1, 1), 1: Radical(Fraction(2**41, 3**40), 1)}]
+    primes = linalg._PRIMES
+    for n in (1, 2):
+        monkeypatch.setattr(linalg, "_PRIMES", primes[:n])
+        with pytest.raises(InternalInconsistency):
+            _rref_exact(q, 2)
+
+
+def test_rref_out_of_primes_is_an_internal_inconsistency():
+    # 2^200 / 3^200 needs more residue bits than every prime together
+    # gives; there is no other solver to fall back to
+    with pytest.raises(InternalInconsistency):
+        _matrix([[3**200, 2**200]]).rank()
 
 
 def test_not_factorable():
