@@ -386,8 +386,6 @@ def transform(block, brackets, row, order):
         j = lab[-1]
         triples = [(lab1, lab2) for (lab1, lab2), sector in sectors.items()
                    if sector == lab[:-2] and triangle(lab1[-1], lab2[-1], j)]
-        if not triples:
-            continue
         per_rho = []
         for rho in range(block.D):
             at_j = values(chain_state(lab + (j,), rho), triples, j, j)

@@ -398,8 +398,6 @@ def _render_term(num, den, rad):
 
 def render_value(x):
     """Canonical text for a Radical or RadicalSum."""
-    if isinstance(x, Radical):
-        x = x.as_sum()
     x = rs(x)
     if not x.pairs:
         return "sqrt(0)"

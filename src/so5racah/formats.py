@@ -81,10 +81,6 @@ def chain3_record(g1, g2, g, rows):
 
 # -- rendering -------------------------------------------------------------
 
-def _dvalue(s, digits):
-    return str(parse_value(s).decimal(digits))
-
-
 def _tabulate_text(header, rows):
     widths = [max(len(header[i]), max((len(r[i]) for r in rows), default=0))
               for i in range(len(header))]
@@ -94,67 +90,52 @@ def _tabulate_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _nrho(rec):
+def _cells(rec, digits, split):
+    """(header, rows, D) of a block or chain-table record: the label
+    cells of its kind, then one value per outer multiplicity rho, as
+    decimals if digits is not None.  A block shows its three "(X,Y)"
+    labels, two cells each if split; a chain table shows its display
+    columns, the multiplicity ones only when one of them exceeds 1."""
     if rec["kind"] == "block":
-        return len(rec["vectors"])
-    return len(rec["rows"][0]["values"]) if rec["rows"] else 0
-
-
-def _block_cells(rec, digits=None, split=False):
-    if split:
-        head = ["X1", "Y1", "X2", "Y2", "X", "Y"]
-    else:
-        head = ["(X1,Y1)", "(X2,Y2)", "(X,Y)"]
-    head += ["rho=%d" % (i + 1) for i in range(_nrho(rec))]
-    rows = []
-    for i, col in enumerate(rec["columns"]):
-        vals = [vec[i] for vec in rec["vectors"]]
-        if digits is not None:
-            vals = [_dvalue(v, digits) for v in vals]
         if split:
-            cells = []
-            for s in col:
-                cells += s[1:-1].split(",")
+            head = ["X1", "Y1", "X2", "Y2", "X", "Y"]
+            labels = ([c for s in col for c in s[1:-1].split(",")]
+                      for col in rec["columns"])
         else:
-            cells = list(col)
-        rows.append(cells + vals)
-    return head, rows
-
-
-def _table_cells(rec, columns, digits=None):
-    with_mult = any(d[f] > 1 for d in rec["rows"] for _, f, mult in columns if mult)
-    shown = [(h, f) for h, f, mult in columns if with_mult or not mult]
-    head = [h for h, _ in shown] + ["rho=%d" % (i + 1) for i in range(_nrho(rec))]
-    rows = []
-    for d in rec["rows"]:
-        vals = list(d["values"])
-        if digits is not None:
-            vals = [_dvalue(v, digits) for v in vals]
-        rows.append([str(d[f]) for _, f in shown] + vals)
-    return head, rows
-
-
-def _cells(rec, digits=None, split=False):
-    if rec["kind"] == "block":
-        return _block_cells(rec, digits, split)
-    if rec["kind"] in _TABLES:
-        return _table_cells(rec, _TABLES[rec["kind"]][2], digits)
-    raise ValueError("unknown record kind %r" % rec.get("kind"))
+            head = ["(X1,Y1)", "(X2,Y2)", "(X,Y)"]
+            labels = (list(col) for col in rec["columns"])
+        vectors = rec["vectors"]
+        values = ([vec[i] for vec in vectors] for i in range(len(rec["columns"])))
+        D = len(vectors)
+    elif rec["kind"] in _TABLES:
+        columns = _TABLES[rec["kind"]][2]
+        rows = rec["rows"]
+        with_mult = any(d[f] > 1 for d in rows for _, f, mult in columns if mult)
+        shown = [(h, f) for h, f, mult in columns if with_mult or not mult]
+        head = [h for h, _ in shown]
+        labels = ([str(d[f]) for _, f in shown] for d in rows)
+        values = (d["values"] for d in rows)
+        D = len(rows[0]["values"]) if rows else 0
+    else:
+        raise ValueError("unknown record kind %r" % rec.get("kind"))
+    if digits is not None:
+        values = ([str(parse_value(v).decimal(digits)) for v in vals]
+                  for vals in values)
+    head += ["rho=%d" % rho for rho in range(1, D + 1)]
+    # built one row at a time, its values first, so a damaged record
+    # reports the first bad cell of its first bad row
+    return head, [[*cells, *vals] for vals, cells in zip(values, labels)], D
 
 
 def render_record(rec, fmt="text", digits=16):
     """Render a record payload as text, csv, json, or float."""
     if fmt == "json":
         return json.dumps(rec, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        head, rows = _cells(rec, split=True)
-        return "\n".join([",".join(head)] + [",".join(r) for r in rows]) + "\n"
-    if fmt == "float":
-        head, rows = _cells(rec, digits=digits)
-    elif fmt == "text":
-        head, rows = _cells(rec)
-    else:
+    if fmt not in ("text", "csv", "float"):
         raise ValueError("unknown format %r" % fmt)
+    head, rows, D = _cells(rec, digits if fmt == "float" else None, fmt == "csv")
+    if fmt == "csv":
+        return "\n".join([",".join(r) for r in [head] + rows]) + "\n"
     title = "%s x %s -> %s  [%s, D=%d]\n" % (
-        rec["g1"], rec["g2"], rec["g"], rec["chain"], _nrho(rec))
+        rec["g1"], rec["g2"], rec["g"], rec["chain"], D)
     return title + _tabulate_text(head, rows)

@@ -195,7 +195,8 @@ def generator_rmes(g):
 
 
 def _rme_up(g, ket, dy):
-    """<(X+1/2, Y+dy/2) || T || (X,Y)> by the closed forms (doubled dy)."""
+    """<(X+1/2, Y+dy/2) || T || (X,Y)> by the closed forms (doubled dy);
+    dy = -1 comes only with Y >= 1/2, as the bra's Y is Y - 1/2."""
     tR, tS = g.R.twice, g.S.twice
     tX, tY = ket.X.twice, ket.Y.twice
     if dy == 1:
@@ -203,8 +204,6 @@ def _rme_up(g, ket, dy):
                * (-tR + tS + tX + tY + 2) * (tR - tS + tX + tY + 4))
         den = 64 * (tX + 2) * (tY + 2)
     else:
-        if tY == 0:
-            return RAD_ZERO
         num = ((tR + tS - tX + tY + 2) * (tR + tS + tX - tY + 4)
                * (tR - tS - tX + tY) * (tR - tS + tX - tY + 2))
         den = 64 * (tX + 2) * tY

@@ -11,7 +11,7 @@ from so5racah.cli import main
 from so5racah.errors import InternalInconsistency
 from so5racah.exact import parse_value, render_value
 from so5racah.formats import canonical_json
-from so5racah.store import Store
+from so5racah.store import Store, record_key
 
 
 def run(*args, **kw):
@@ -586,6 +586,71 @@ def test_verify_reports_bad_key(tmp_path, bad):
     lines = v.output.splitlines()
     assert "FAIL %s" % bad in lines and "ok   %s" % SCALAR in lines
     assert lines[-1] == "2 records checked, 1 failed"
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("g1", "(1/2, 0)", "is not a canonical record key"),
+    ("g1", "(1/0,0)", "zero denominator"),
+    ("chain", "foo", "is not a canonical record key"),
+], ids=["non-canonical", "zero-denominator", "unknown-chain"])
+def test_verify_reports_odd_payload_labels(tmp_path, field, value, problem):
+    # honestly re-hashed and filed under the key its own labels make, so
+    # the store's read passes it and verify's key check must catch it
+    store = str(tmp_path / "st")
+    for g in ("(0,0)", "(1,0)"):
+        assert run("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", g,
+                   "--store", store).exit_code == 0
+    st = Store(store)
+    payload = st.read_record(SCALAR)["payload"]
+    payload[field] = value
+    key = record_key(*map(payload.get, ("chain", "g1", "g2", "g")))
+    st.write_record(key, payload)
+    st.flush_index()
+    assert st.read_record(key)["payload"] == payload
+    v = run("verify", "--store", store)
+    assert v.exit_code == 1, v.output
+    assert v.exception is None or isinstance(v.exception, SystemExit)
+    lines = v.output.splitlines()
+    assert "FAIL %s" % key in lines
+    assert problem in lines[lines.index("FAIL %s" % key) + 1]
+    assert "ok   %s" % SCALAR in lines and "ok   %s" % VECTOR in lines
+    assert lines[-1] == "3 records checked, 1 failed"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "float"])
+def test_stored_record_of_unknown_kind_is_a_store_error(tmp_path, fmt):
+    args = ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+            "--format", fmt, "--store", str(tmp_path / "st"))
+    assert run(*args).exit_code == 0
+    st = Store(str(tmp_path / "st"))
+    payload = st.read_record(SCALAR)["payload"]
+    payload["kind"] = "foo"
+    st.write_record(SCALAR, payload)
+    st.flush_index()
+    r = run(*args)
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output and "unknown record kind 'foo'" in r.output
+
+
+def test_edited_meta_hash_is_a_store_error(tmp_path):
+    # the payload bytes still hash to the index entry; only the meta
+    # hash beside them is wrong
+    args = ("couple", "--g1", "(1/2,0)", "--g2", "(1/2,0)", "--g", "(0,0)",
+            "--store", str(tmp_path / "st"))
+    assert run(*args).exit_code == 0
+    st = Store(str(tmp_path / "st"))
+    path = st.record_path(st.hash_for(SCALAR))
+    with open(path, "rb") as f:
+        record = json.load(f)
+    record["meta"]["hash"] = "0" * 64
+    with open(path, "wb") as f:
+        f.write(canonical_json(record))
+    r = run(*args)
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output and SCALAR in r.output
+    assert "stored meta hash does not match payload" in r.output
 
 
 def test_verify_checks_the_block_of_a_table(tmp_path, monkeypatch):

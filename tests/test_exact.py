@@ -103,6 +103,19 @@ def test_parse_zero_denominator_is_malformed(s):
         parse_value(s)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_value(""), "empty value string"),
+    (lambda: parse_value("sqrt(1) sqrt(2)"), "missing sign"),
+    (lambda: rs(1).decimal(0), "digits must be in 1..30"),
+    (lambda: root_of_rational(1, Fraction(-1, 2)), "negative radicand -1/2$"),
+    (lambda: rs(Radical(1, 2)).rational(), "is not rational"),
+], ids=["empty", "unsigned-term", "zero-digits", "negative-radicand",
+        "irrational"])
+def test_malformed_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_decimal_emission():
     x = rs(Radical(Fraction(1, 2), 2))
     assert str(x.decimal(12)) == "0.707106781187"

@@ -1,14 +1,16 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from so5racah.angmom import chain3_transform
 from so5racah.exact import parse_value, render_value
 from so5racah.formats import block_record, canonical_json, chain2_record, \
-    render_record
+    chain3_record, render_record
 from so5racah.isospin import chain2_transform
 from so5racah.racah import solve_isoscalars
-from so5racah.so5 import So5Irrep
+from so5racah.so5 import So5Irrep, so5_kronecker
 
 H = Fraction(1, 2)
 
@@ -85,3 +87,30 @@ def test_json_render_parses_back(block):
 def test_unknown_format_rejected(block):
     with pytest.raises(ValueError):
         render_record(block_record(block), "yaml")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "float"])
+def test_unknown_kind_rejected(block, fmt):
+    rec = dict(block_record(block), kind="foo")
+    with pytest.raises(ValueError, match="unknown record kind 'foo'"):
+        render_record(rec, fmt)
+    # json shows the payload as it is
+    assert json.loads(render_record(rec, "json")) == rec
+
+
+# SHA-256 of the text, csv and float (6 digits) renders of every block and
+# chain table of (1,0) x (1,1/2), in series order
+RENDERS_DIGEST = "e7844702d513045be79a3268025bb5af16b60b711755fc91e4f8ee13f41688a2"
+
+
+def test_renders_frozen():
+    g1, g2 = So5Irrep(1, 0), So5Irrep(1, H)
+    out = []
+    for g in so5_kronecker(g1, g2):
+        blk = solve_isoscalars(g1, g2, g)
+        for rec in (block_record(blk),
+                    chain2_record(g1, g2, g, chain2_transform(blk)),
+                    chain3_record(g1, g2, g, chain3_transform(blk))):
+            for fmt in ("text", "csv", "float"):
+                out.append(render_record(rec, fmt, 6))
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == RENDERS_DIGEST

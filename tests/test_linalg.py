@@ -282,6 +282,16 @@ def test_rref_combines_primes_for_a_large_entry(monkeypatch):
             _rref_exact(q, 2)
 
 
+def test_rref_skips_a_prime_of_lower_rank():
+    # mod the second prime, 2^62 - 57, row 1 vanishes: that prime has
+    # lower rank and is skipped, and the first, third and fourth combine
+    p = 2**62 - 57
+    q = [{0: 3**40, 1: 2**41}, {2: p}]
+    assert _rref_mod(q, 3, p)[1] == [0]
+    assert _rref_exact(q, 3) == ([{0: 1, 1: Fraction(2**41, 3**40)}, {2: 1}],
+                                 [0, 2])
+
+
 def test_rref_out_of_primes_is_an_internal_inconsistency():
     # 2^200 / 3^200 needs more residue bits than every prime together
     # gives; there is no other solver to fall back to
@@ -327,3 +337,9 @@ def test_gram_schmidt_degenerate():
     # nonzero, but zero on every position of the dot product
     with pytest.raises(DegenerateForm):
         gram_schmidt([[F(0), F(1)]], [0])
+
+
+def test_gram_schmidt_irrational_norm():
+    # (1 + sqrt(2))^2 = 3 + 2 sqrt(2) has no rational square root
+    with pytest.raises(DegenerateForm, match="irrational squared norm"):
+        gram_schmidt([[rs(Radical(1, 2)) + 1]], [0])

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from so5racah import racah
-from so5racah.errors import InternalInconsistency, NotInSeries, RankDefect
+from so5racah.errors import InternalInconsistency, NormInconsistency, \
+    NotInSeries, RankDefect
 from so5racah.exact import RS_ZERO, Radical, parse_value, render_value, rs
 from so5racah.halfint import hi
 from so5racah.linalg import vec_dot
-from so5racah.racah import CONVENTIONS, build_system, enumerate_columns, \
-    outer_multiplicity, solve_isoscalars, verify_block, verify_series
+from so5racah.racah import CONVENTIONS, IsoscalarBlock, build_system, \
+    enumerate_columns, outer_multiplicity, solve_isoscalars, verify_block, \
+    verify_series
 from so5racah.so4 import So4Irrep, so4_cg, so4_kronecker
 from so5racah.so5 import So5Irrep, so5_branch_so4, so5_kronecker
 
@@ -140,6 +142,59 @@ def test_verify_series_clean():
     for (a, b) in [((H, 0), (H, 0)), ((H, H), (H, H)), ((H, H), (1, 0)),
                    ((1, 0), (1, H))]:
         assert verify_series(So5Irrep(*a), So5Irrep(*b)) == []
+
+
+# fault injection: g1 x g2 holds (1/2,0) once and (1,1/2) twice
+G1, G2 = So5Irrep(1, 0), So5Irrep(1, H)
+
+
+def _with_vectors(blk, vectors):
+    return IsoscalarBlock(blk.g1, blk.g2, blk.g, blk.columns, vectors, blk.meta)
+
+
+def test_label_groups_must_share_one_norm(monkeypatch):
+    # a null vector whose (1/2,0) group is doubled has four times the
+    # norm there that it has in the (0,1/2) group
+    g = So5Irrep(H, 0)
+    system = build_system(G1, G2, g)
+    (v,) = system.matrix.nullspace()
+    doubled = [x * 2 if c[2] == So4Irrep(H, 0) else x
+               for x, c in zip(v, system.columns)]
+    monkeypatch.setattr(system.matrix, "nullspace", lambda: [doubled])
+    with pytest.raises(NormInconsistency, match="M differs between groups"):
+        solve_isoscalars(G1, G2, g, system=system)
+
+
+def test_all_zero_solution_vector_is_an_internal_inconsistency(monkeypatch):
+    monkeypatch.setattr(racah, "gram_schmidt",
+                        lambda vectors, idxs: [[RS_ZERO] * len(v) for v in vectors])
+    with pytest.raises(InternalInconsistency, match="all-zero solution vector"):
+        solve_isoscalars(G1, G2, So5Irrep(H, 0))
+
+
+def test_verify_block_reports_a_row_not_annihilated():
+    g = So5Irrep(1, H)
+    system = build_system(G1, G2, g)
+    blk = solve_isoscalars(G1, G2, g, system=system)
+    vectors = [list(v) for v in blk.vectors]
+    i = next(i for i, x in enumerate(vectors[0]) if not x.is_zero())
+    vectors[0][i] = vectors[0][i] * 2
+    fails = verify_block(_with_vectors(blk, vectors), system)
+    assert any(f.endswith("does not annihilate rho=1") for f in fails)
+    assert not any(f.endswith("does not annihilate rho=2") for f in fails)
+
+
+def test_verify_series_reports_each_check():
+    blocks = {g: solve_isoscalars(G1, G2, g) for g in so5_kronecker(G1, G2)}
+    g = So5Irrep(1, H)
+    blk = blocks[g]
+    dropped = verify_series(G1, G2, {**blocks, g: _with_vectors(blk, blk.vectors[:1])})
+    assert "multiplicity mismatch at (1,1/2): 1 vs 2" in dropped
+    assert "ket-sum at (0,1/2): 3 rows for 4 pairs" in dropped
+    doubled = [[x * 2 for x in blk.vectors[0]], blk.vectors[1]]
+    fails = verify_series(G1, G2, {**blocks, g: _with_vectors(blk, doubled)})
+    assert "ket-sum at (0,1/2): columns 0,0 give sqrt(64/25)" in fails
+    assert not any("mismatch" in f or "rows for" in f for f in fails)
 
 
 def test_conventions_are_stamped():
