@@ -36,8 +36,8 @@ class BracketSet:
 
     basis is the irrep's weight basis, a tuple of (So4Irrep, M_X, M_Y).
     entries maps a chain label tuple to a tuple of (position in basis,
-    RadicalSum) pairs sorted by position; vector(key) names the states,
-    as ((So4Irrep, (M_X, M_Y)), RadicalSum) pairs.  Chain (II) labels
+    Radical) pairs sorted by position; vector(key) names the states,
+    as ((So4Irrep, (M_X, M_Y)), Radical) pairs.  Chain (II) labels
     are (M_S, kappa, T, M_T); chain (III) labels are (alpha, L, M_L).
     entries is a read-only view, because the chain modules cache one set
     per irrep and hand the same object to every caller.
@@ -112,7 +112,7 @@ def op_add(*mats):
 
 
 def op_scale(c, mat):
-    return {j: {i: rs(v * c) for i, v in col.items()} for j, col in mat.items()}
+    return {j: {i: v * c for i, v in col.items()} for j, col in mat.items()}
 
 
 def op_transpose(mat):
@@ -142,7 +142,7 @@ def primitive(g, basis, name):
             p = ((jj.twice - d * m.twice) // 2) * ((jj.twice + d * m.twice) // 2 + 1)
             if p > 0:
                 tgt = (lam, mx + d, my) if kind == "X" else (lam, mx, my + d)
-                mat[j] = {index[tgt]: rs(root_of_rational(1, Fraction(p)))}
+                mat[j] = {index[tgt]: root_of_rational(1, p)}
         else:
             step = tuple(HalfInt(1 if c == "+" else -1) for c in signs)
             w = (mx + step[0], my + step[1])
@@ -153,7 +153,7 @@ def primitive(g, basis, name):
                     continue
                 el = so4_cg(lam, (mx, my), HALFHALF, step, lamp, w) * rme
                 if not el.is_zero():
-                    col[i] = rs(el)
+                    col[i] = el
             if col:
                 mat[j] = col
     return mat
@@ -216,7 +216,7 @@ def ladder(basis, level, lower):
     entries = {}
     for sector in sorted({sec for sec, _ in levels}, reverse=True):
         top = max(m for sec, m in levels if sec == sector)
-        live = []  # (j, k, vec) with vec a dict position -> RadicalSum
+        live = []  # (j, k, vec) with vec a dict position -> Radical
         for tm in range(top.twice, -top.twice - 1, -2):
             m = HalfInt(tm)
             members = levels.get((sector, m), [])
@@ -244,11 +244,11 @@ def ladder(basis, level, lower):
                         _axpy(resid, -vec[cand], vec)
                 if not resid:
                     continue
-                norm2 = _dot(resid.items(), resid)
-                if not norm2.is_rational() or norm2.rational() <= 0:
+                norm2 = _dot(resid.items(), resid).rational()
+                if norm2 <= 0:
                     raise DegenerateForm(
                         "residual norm %s at m=%s, sector %s" % (norm2, m, sector))
-                scale = root_of_rational(1, norm2.rational())
+                scale = root_of_rational(1, norm2)
                 added += 1
                 live.append((m, added, {i: v / scale for i, v in resid.items()}))
             if added < mu:

@@ -80,7 +80,7 @@ def _rendered(store_path, chain, g1, g2, g, fmt, digits):
     payload = st.read_record(key)["payload"]
     try:
         return render_record(payload, fmt, digits)
-    except (KeyError, IndexError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as e:
         raise StoreError("record %r is unusable: %s" % (key, e)) from None
 
 

@@ -30,7 +30,7 @@ class NormInconsistency(So5Error):
 
 
 class DegenerateForm(So5Error):
-    """Gram-Schmidt hit a nonpositive or irrational squared norm."""
+    """Gram-Schmidt hit a nonpositive squared norm."""
 
 
 class LadderNullUnexpected(So5Error):
@@ -42,4 +42,5 @@ class StoreError(So5Error):
 
 
 class NotFactorable(So5Error):
-    """A matrix is not diag(sqrt a) Q diag(sqrt b) with Q rational."""
+    """A matrix is not diag(sqrt a) Q diag(sqrt b) with Q rational, or a
+    sum adds two radicals with different radicands."""

@@ -86,7 +86,7 @@ class ExactMatrix:
             for row, pc in zip(red, pivots):
                 entry = row.get(f)
                 if entry is not None:
-                    v[pc] = (-entry).as_sum()
+                    v[pc] = -entry
             basis.append(v)
         return basis
 
@@ -268,9 +268,11 @@ def _certified(q, rows, pivots):
     return True
 
 
-def vec_dot(u, v):
+def vec_dot(u, v, idxs=None):
+    """Sum of u[i] * v[i] over the positions idxs, or over all of them."""
     out = RS_ZERO
-    for a, b in zip(u, v):
+    for i in range(len(u)) if idxs is None else idxs:
+        a, b = u[i], v[i]
         if not a.is_zero() and not b.is_zero():
             out = out + a * b
     return out
@@ -281,27 +283,20 @@ def gram_schmidt(vectors, idxs):
     preserving the span.
 
     The first output is a positive multiple of the first input, so the
-    input's sign survives.  Squared norms must come out as positive
-    rationals (they do for the inner products arising here); otherwise
-    DegenerateForm is raised.
+    input's sign survives.  A squared norm is a sum of squares of single
+    radicals, so it is rational; one that is not positive raises
+    DegenerateForm.
     """
-    def dot(u, v):
-        return vec_dot([u[i] for i in idxs], [v[i] for i in idxs])
-
     out = []
     for v in vectors:
         u = list(v)
         for w in out:
-            ov = dot(w, v)
+            ov = vec_dot(w, v, idxs)
             if not ov.is_zero():
                 u = [a - ov * b for a, b in zip(u, w)]
-        n2 = dot(u, u)
-        try:
-            q = n2.rational()
-        except ValueError:
-            raise DegenerateForm("irrational squared norm %s" % n2) from None
+        q = vec_dot(u, u, idxs).rational()
         if q <= 0:
             raise DegenerateForm("squared norm %s is not positive" % q)
-        inv_norm = root_of_rational(Fraction(1), Fraction(1) / q).as_sum()
+        inv_norm = root_of_rational(1, 1 / q)
         out.append([x * inv_norm for x in u])
     return out

@@ -146,7 +146,7 @@ class IsoscalarBlock:
         self.g2 = g2
         self.g = g
         self.columns = columns
-        self.vectors = vectors  # vectors[rho-1][i], RadicalSum
+        self.vectors = vectors  # vectors[rho-1][i], Radical
         self.meta = meta
         self._index = {tuple(c): i for i, c in enumerate(columns)}
 
@@ -171,8 +171,7 @@ def _group_slices(columns):
 
 def _group_gram(vectors, idxs):
     """Gram matrix of the vectors restricted to the positions idxs."""
-    return [[sum((u[i] * v[i] for i in idxs), RS_ZERO) for v in vectors]
-            for u in vectors]
+    return [[vec_dot(u, v, idxs) for v in vectors] for u in vectors]
 
 
 def _sign_positions(columns):
@@ -224,12 +223,7 @@ def solve_isoscalars(g1, g2, g, system=None):
             raise InternalInconsistency("all-zero solution vector")
         if pos != primary:
             meta["sign_fallback"] = True
-        # the leading coefficient is one radical: its sign is its numerator's
-        if len(v[pos].pairs) != 1:
-            raise InternalInconsistency("leading coefficient %s is not a "
-                                        "single radical" % v[pos])
-        (num, _), = v[pos].pairs.values()
-        if num < 0:
+        if v[pos].num < 0:
             vectors[rho] = [-x for x in v]
 
     return IsoscalarBlock(g1, g2, g, columns, vectors, meta)
@@ -263,7 +257,7 @@ def verify_block(block, system):
         for k, resid in enumerate(system.matrix.matvec(v)):
             if not resid.is_zero():
                 fails.append("row %d (labels %s) does not annihilate rho=%d"
-                             % (k, system.row_labels[k], rho))
+                             % (k, ", ".join(map(str, system.row_labels[k])), rho))
     return fails + bra_sums(block.columns, block.vectors)
 
 
@@ -307,11 +301,10 @@ def verify_series(g1, g2, blocks=None):
             fails.append("ket-sum at %s: %d rows for %d pairs"
                          % (lam, len(rows), len(pairs)))
             continue
-        n = len(pairs)
-        for a in range(n):
-            for b in range(a, n):
-                s = vec_dot([rows[r][a] for r in range(n)],
-                            [rows[r][b] for r in range(n)])
+        cols = list(zip(*rows))
+        for a in range(len(cols)):
+            for b in range(a, len(cols)):
+                s = vec_dot(cols[a], cols[b])
                 if s != (RS_ONE if a == b else RS_ZERO):
                     fails.append("ket-sum at %s: columns %d,%d give %s"
                                  % (lam, a, b, s))

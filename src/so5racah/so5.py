@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BranchingViolation, InternalInconsistency, OutOfRange
-from .exact import RAD_ZERO, root_of_rational
+from .exact import RS_ZERO, root_of_rational
 from .halfint import HalfInt, PairLabel, sign_pow
 from .so4 import So4Irrep, so4_kronecker
 
@@ -158,7 +158,7 @@ def generator_rme(g, bra, ket):
     table = generator_rmes(g)
     if bra not in table or ket not in table:
         raise BranchingViolation("(%s or %s) not in branching of %s" % (bra, ket, g))
-    return table[ket].get(bra, RAD_ZERO)
+    return table[ket].get(bra, RS_ZERO)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import RAD_ZERO, root_of_rational
+from .exact import RS_ZERO, root_of_rational
 from .halfint import HalfInt, sign_pow
 
 
@@ -37,13 +37,13 @@ def _delta2(ta, tb, tc):
 @lru_cache(maxsize=None)
 def _cg_t(tj1, tm1, tj2, tm2, tj, tm):
     if tm1 + tm2 != tm:
-        return RAD_ZERO
+        return RS_ZERO
     if not _tri2(tj1, tj2, tj):
-        return RAD_ZERO
+        return RS_ZERO
     if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
-        return RAD_ZERO
+        return RS_ZERO
     if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
-        return RAD_ZERO
+        return RS_ZERO
     pref2 = (
         Fraction(tj + 1)
         * _delta2(tj1, tj2, tj)
@@ -81,7 +81,7 @@ def _sixj_t(tj1, tj2, tj3, tj4, tj5, tj6):
         (tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6), (tj4, tj5, tj3),
     ):
         if not _tri2(ta, tb, tc):
-            return RAD_ZERO
+            return RS_ZERO
     pref2 = (
         _delta2(tj1, tj2, tj3) * _delta2(tj1, tj5, tj6)
         * _delta2(tj4, tj2, tj6) * _delta2(tj4, tj5, tj3)
@@ -113,10 +113,10 @@ def su2_sixj(j1, j2, j3, j4, j5, j6):
 def _usixj_t(tj1, tj2, tj12, tj3, tj, tj23):
     if not (_tri2(tj1, tj2, tj12) and _tri2(tj12, tj3, tj)
             and _tri2(tj2, tj3, tj23) and _tri2(tj1, tj23, tj)):
-        return RAD_ZERO
+        return RS_ZERO
     six = _sixj_t(tj1, tj2, tj12, tj3, tj, tj23)
     if six.is_zero():
-        return RAD_ZERO
+        return RS_ZERO
     sign = sign_pow((tj1 + tj2 + tj3 + tj) // 2)
     hat = root_of_rational(sign, (tj12 + 1) * (tj23 + 1))
     return hat * six

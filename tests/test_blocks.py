@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from so5racah.exact import Radical
 from so5racah.formats import block_record, canonical_json
 from so5racah.racah import build_system, solve_isoscalars
 from so5racah.so5 import So5Irrep
@@ -262,10 +263,10 @@ def test_block_record_frozen(g1, g2, g):
 @pytest.mark.parametrize("g1,g2,g", list(DIGESTS))
 def test_block_values_are_single_radicals(g1, g2, g):
     # the phase convention reads the sign of the leading coefficient off
-    # its one radical; every coefficient is zero or one term
+    # its numerator; every coefficient is one signed radical
     blk = solve_isoscalars(*(So5Irrep.parse(s) for s in (g1, g2, g)))
-    assert all(len(x.pairs) <= 1 for v in blk.vectors for x in v)
-    assert any(x.pairs for x in blk.vectors[0])
+    assert all(type(x) is Radical for v in blk.vectors for x in v)
+    assert any(not x.is_zero() for x in blk.vectors[0])
 
 
 SYSTEMS_DIGEST = "7078b52eeddd0e3a55a1675e3058dfbae41cee953a4e5874d949fc62f392647a"

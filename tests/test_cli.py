@@ -380,7 +380,7 @@ def test_verify_reports_malformed_record(tmp_path, chain, edit):
     assert lines[-1] == "2 records checked, 1 failed"
 
 
-@pytest.mark.parametrize("value", ["sqrt(1/0)", "sqrt(x)"])
+@pytest.mark.parametrize("value", ["sqrt(1/0)", "sqrt(x)", "sqrt(1) + sqrt(2)"])
 @pytest.mark.parametrize("command, chain", [
     (("couple", "--chain", "so4"), "so4"),
     (("transform", "--to", "isospin"), "isospin"),
@@ -398,6 +398,24 @@ def test_unrenderable_stored_value_is_a_store_error(tmp_path, command, chain,
         payload["vectors"][0][0] = value
     else:
         payload["rows"][0]["values"][0] = value
+    st.write_record(key, payload)
+    st.flush_index()
+    r = run(*args)
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "store error" in r.output and key in r.output
+
+
+def test_stored_label_of_wrong_type_is_a_store_error(tmp_path):
+    # a re-hashed block whose label cell is a list, not a string, is
+    # named as a store error, not an AttributeError traceback
+    args = ("couple", "--g1", "(1,0)", "--g2", "(1,0)", "--g", "(1,1)",
+            "--format", "csv", "--store", str(tmp_path / "st"))
+    assert run(*args).exit_code == 0
+    st = Store(str(tmp_path / "st"))
+    key = "so4|(1,0) x (1,0) -> (1,1)"
+    payload = st.read_record(key)["payload"]
+    payload["columns"][0][0] = ["(0,0)"]
     st.write_record(key, payload)
     st.flush_index()
     r = run(*args)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from so5racah.errors import DegenerateForm, InternalInconsistency, NotFactorable
-from so5racah.exact import (RS_ONE, RS_ZERO, Radical, RadicalSum, canonicalize,
-                            root_of_rational, rs)
+from so5racah.exact import RS_ONE, RS_ZERO, Radical, canonicalize, root_of_rational, rs
 from so5racah.halfint import HalfInt
 from so5racah import linalg
 from so5racah.linalg import (ExactMatrix, _factor, _rref_exact, _rref_mod,
@@ -34,9 +33,8 @@ def _sparse(rows):
     for row in rows:
         ent = {}
         for j, x in enumerate(row):
-            for r, c in rs(x).terms.items():
-                assert j not in ent, "entry is a sum"
-                ent[j] = Radical(c, r)
+            if not rs(x).is_zero():
+                ent[j] = rs(x)
         out.append(ent)
     return out
 
@@ -46,12 +44,12 @@ def _matrix(rows):
 
 
 def _dense(m):
-    """Dense RadicalSum rows of a sparse matrix."""
+    """Dense Radical rows of a sparse matrix."""
     out = []
     for row in m.entries:
         dense = [RS_ZERO] * m.ncols
         for j, x in row.items():
-            dense[j] = x.as_sum()
+            dense[j] = x
         out.append(dense)
     return out
 
@@ -161,7 +159,8 @@ def test_rank_matches_numpy_on_racah_systems(racah_systems):
 def test_racah_systems_are_sparse_single_radicals(racah_systems):
     # every stored entry is a nonzero Radical, and the sparse matvec
     # agrees with dense dot products on the null space and on a random
-    # vector of radical sums
+    # vector, rational times sqrt(b_j) at column j of class b_j, so that
+    # each row's products share one class
     rng = random.Random(5)
     hit = 0
     for g1, g2, g, s in racah_systems:
@@ -171,9 +170,8 @@ def test_racah_systems_are_sparse_single_radicals(racah_systems):
                                for x in row.values()), (g1, g2, g)
             assert all(0 <= j < m.ncols for j in row)
         dense = _dense(m)
-        rand = [RadicalSum.of(*(canonicalize(rng.randint(-3, 3), rng.choice([1, 2, 3, 6]))
-                                for _ in range(2)))
-                for _ in range(m.ncols)]
+        rand = [canonicalize(rng.randint(-3, 3), b)
+                for b in _factor(m.entries, m.ncols)[1]]
         for v in m.nullspace() + [rand]:
             assert m.matvec(v) == [vec_dot(row, v) for row in dense], (g1, g2, g)
         hit += any(not x.is_zero() for x in m.matvec(rand))
@@ -322,12 +320,8 @@ def test_gram_schmidt_on_positions():
     # along with the span
     idxs = [0, 2]
     out = gram_schmidt([[F(1), F(5), F(1)], [F(0), F(7), F(1)]], idxs)
-
-    def dot(u, v):
-        return vec_dot([u[i] for i in idxs], [v[i] for i in idxs])
-
-    assert dot(out[0], out[1]).is_zero()
-    assert dot(out[0], out[0]) == dot(out[1], out[1]) == RS_ONE
+    assert vec_dot(out[0], out[1], idxs).is_zero()
+    assert vec_dot(out[0], out[0], idxs) == vec_dot(out[1], out[1], idxs) == RS_ONE
     assert [str(x) for x in out[1]] == ["-sqrt(1/2)", "sqrt(81/2)", "sqrt(1/2)"]
 
 
@@ -339,7 +333,8 @@ def test_gram_schmidt_degenerate():
         gram_schmidt([[F(0), F(1)]], [0])
 
 
-def test_gram_schmidt_irrational_norm():
-    # (1 + sqrt(2))^2 = 3 + 2 sqrt(2) has no rational square root
-    with pytest.raises(DegenerateForm, match="irrational squared norm"):
-        gram_schmidt([[rs(Radical(1, 2)) + 1]], [0])
+def test_gram_schmidt_mixed_classes_not_factorable():
+    # a squared norm sums squares of radicals, so it is rational, but the
+    # overlap of (1, 1)/sqrt(2) with (1, sqrt(2)) is sqrt(1/2) + 1
+    with pytest.raises(NotFactorable, match="radical classes"):
+        gram_schmidt([[F(1), F(1)], [F(1), rs(Radical(1, 2))]], range(2))

@@ -6,7 +6,7 @@ import pytest
 from so5racah import racah
 from so5racah.errors import InternalInconsistency, NormInconsistency, \
     NotInSeries, RankDefect
-from so5racah.exact import RS_ZERO, Radical, parse_value, render_value, rs
+from so5racah.exact import RS_ZERO, parse_value, render_value, rs
 from so5racah.halfint import hi
 from so5racah.linalg import vec_dot
 from so5racah.racah import CONVENTIONS, IsoscalarBlock, build_system, \
@@ -82,20 +82,6 @@ def test_rank_defect_when_outside_rows_do_not_close(monkeypatch):
     g1 = So5Irrep(H, 0)
     with pytest.raises(RankDefect, match="rank 0, want 1"):
         build_system(g1, g1, So5Irrep(0, 0))
-
-
-def test_leading_coefficient_must_be_one_radical(monkeypatch):
-    # the phase is the sign of a single radical; a sum there is a fault
-    gram_schmidt = racah.gram_schmidt
-
-    def two_terms(vectors, idxs):
-        return [[x if x.is_zero() else x - Radical(1, 7) for x in v]
-                for v in gram_schmidt(vectors, idxs)]
-
-    monkeypatch.setattr(racah, "gram_schmidt", two_terms)
-    g1 = So5Irrep(H, 0)
-    with pytest.raises(InternalInconsistency, match="not a single radical"):
-        solve_isoscalars(g1, g1, So5Irrep(0, 0))
 
 
 def test_multiplicity_two_block():
@@ -182,6 +168,9 @@ def test_verify_block_reports_a_row_not_annihilated():
     fails = verify_block(_with_vectors(blk, vectors), system)
     assert any(f.endswith("does not annihilate rho=1") for f in fails)
     assert not any(f.endswith("does not annihilate rho=2") for f in fails)
+    # labels are written the way every other verify message writes them
+    assert fails[0] == ("row 0 (labels (0,1), (0,1/2), (0,1/2), (1/2,0)) "
+                        "does not annihilate rho=1")
 
 
 def test_verify_series_reports_each_check():

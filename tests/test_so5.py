@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from so5racah.errors import BranchingViolation, OutOfRange
-from so5racah.exact import RAD_ZERO, Radical, root_of_rational, rs
+from so5racah.exact import RS_ZERO, Radical, root_of_rational, rs
 from so5racah.halfint import HalfInt, hi
 from so5racah.so4 import So4Irrep
 from so5racah.so5 import SCHEMES, So5Irrep, convert_label, generator_rme, \
@@ -188,7 +188,7 @@ def test_rme_frozen_vector_irrep():
     assert generator_rme(g, hh, sc) == root_of_rational(1, H)
     # adjoint partner: -hat(1/2,1/2)/hat(0,0) * sqrt(1/2) = -sqrt(2)
     assert generator_rme(g, sc, hh) == Radical(Fraction(-1), 2)
-    assert generator_rme(g, hh, hh) == RAD_ZERO
+    assert generator_rme(g, hh, hh) == RS_ZERO
 
 
 def test_rme_frozen_sixteen_dim():
@@ -201,8 +201,8 @@ def test_rme_frozen_sixteen_dim():
         ("(1/2,1)", "(0,1/2)", root_of_rational(1, Fraction(5, 8))),
         ("(1/2,1)", "(1,1/2)", root_of_rational(1, Fraction(3, 8))),
         ("(1,1/2)", "(1/2,1)", root_of_rational(1, Fraction(3, 8))),
-        ("(0,1/2)", "(0,1/2)", RAD_ZERO),
-        ("(0,1/2)", "(1,1/2)", RAD_ZERO),  # shift (1,0): not a generator step
+        ("(0,1/2)", "(0,1/2)", RS_ZERO),
+        ("(0,1/2)", "(1,1/2)", RS_ZERO),  # shift (1,0): not a generator step
     ]
     for b, k, want in cases:
         assert generator_rme(g, lam[b], lam[k]) == want, (b, k)
