@@ -23,9 +23,10 @@ from fractions import Fraction
 from operator import add
 from types import MappingProxyType
 
-from .errors import DegenerateForm, InternalInconsistency, LadderNullUnexpected
+from .errors import InternalInconsistency, LadderNullUnexpected
 from .exact import RS_ONE, RS_ZERO, root_of_rational, rs
 from .halfint import HalfInt, mrange, triangle
+from .linalg import off_identity
 from .so4 import HALFHALF, so4_cg
 from .so5 import generator_rmes, so5_branch_so4
 from .su2 import su2_cg
@@ -244,11 +245,7 @@ def ladder(basis, level, lower):
                         _axpy(resid, -vec[cand], vec)
                 if not resid:
                     continue
-                norm2 = _dot(resid.items(), resid).rational()
-                if norm2 <= 0:
-                    raise DegenerateForm(
-                        "residual norm %s at m=%s, sector %s" % (norm2, m, sector))
-                scale = root_of_rational(1, norm2)
+                scale = root_of_rational(1, _dot(resid.items(), resid).rational())
                 added += 1
                 live.append((m, added, {i: v / scale for i, v in resid.items()}))
             if added < mu:
@@ -285,11 +282,10 @@ def verify_brackets(bs, level, lower):
         if len(group) != counts.get(lev, 0):
             problems.append("level %s: %d vectors, %d states"
                             % (lev, len(group), counts.get(lev, 0)))
-        for a, (ka, va) in enumerate(group):
-            for kb, vb in group[a:]:
-                dot = _dot(va.items(), vb)
-                if dot != (RS_ONE if ka == kb else RS_ZERO):
-                    problems.append("brackets %s . %s = %s" % (ka, kb, dot))
+        problems += ["brackets %s . %s = %s" % (group[a][0], group[b][0], dot)
+                     for a, b, dot in off_identity(
+                         [vec for _, vec in group],
+                         lambda u, v: _dot(u.items(), v))]
     return problems
 
 

@@ -7,6 +7,7 @@ error, 3 coupling not in the Kronecker series, 4 store I/O failure.
 import multiprocessing
 import os
 import sys
+from contextlib import nullcontext
 
 import click
 
@@ -227,9 +228,10 @@ def _tabulate_worker(args):
 def tabulate(max_r, chain, jobs, store_path):
     """Compute every coupling with R1, R2 up to a bound into the store.
 
-    Records already present are skipped.  Output bytes are independent
-    of --jobs: records are content-addressed and the index is written
-    once, in sorted key order.
+    Records already present are skipped.  Each record is written as its
+    worker returns it, and the index once at the end, in sorted key
+    order; records are content-addressed, so output bytes are
+    independent of --jobs.
     """
     bound = _parse(HalfInt.parse, "half-integer", max_r)
     if bound.twice < 0:
@@ -242,14 +244,11 @@ def tabulate(max_r, chain, jobs, store_path):
     # sorted: the pool hands the couplings out in this order
     work = sorted(c for c in couplings if record_key(*c) not in st.index())
     jobs = min(jobs, len(work))
-    if jobs > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = list(pool.imap_unordered(_tabulate_worker, work,
-                                               chunksize=1))
-    else:
-        results = [_tabulate_worker(a) for a in work]
-    for key, payload in results:
-        st.write_record(key, payload)
+    # one job maps in this process, where a tracer sees the workers' calls
+    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        for key, payload in (pool.imap_unordered(_tabulate_worker, work, chunksize=1)
+                             if pool else map(_tabulate_worker, work)):
+            st.write_record(key, payload)
     if work:
         st.flush_index()
     click.echo("%d records written, %d already present, store %s"

@@ -29,22 +29,25 @@ single rational, e.g. -(2/5)*sqrt(5) prints as ``-sqrt(4/5)``.
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import NotFactorable
 
 
-def _square_split(n):
+def _square_split(n, bound=None):
     """Write n = sq**2 * rad with rad squarefree; returns (sq, rad).
 
     Plain trial division.  The radicands met in practice are products
     of small factorial ratios, so the leftover after dividing out every
     prime up to sqrt(n) is 1 or a single prime, which is squarefree.
+    With a bound, division stops there: a leftover below bound**3 has at
+    most two prime factors, so it is squarefree unless it is a square,
+    and a larger one raises ValueError.
     """
     sq = 1
     rad = 1
     d = 2
-    while d * d <= n:
+    while d * d <= n and (bound is None or d < bound):
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -54,7 +57,10 @@ def _square_split(n):
             if e % 2:
                 rad *= d
         d += 1 if d == 2 else 2
-    return sq, rad * n
+    if d * d <= n and n >= bound ** 3:
+        raise ValueError("radicand factor %d is too large to split" % n)
+    r = isqrt(n)
+    return (sq * r, rad) if r * r == n else (sq, rad * n)
 
 
 def _pair(q):
@@ -183,7 +189,9 @@ class Radical:
                 and (self.num == 0 or self.rad == other.rad))
 
     def __hash__(self):
-        return hash((self.num, self.den, self.rad if self.num else 1))
+        # a rational value hashes as the int or Fraction it equals
+        return hash(Fraction(self.num, self.den) if self.is_rational()
+                    else (self.num, self.den, self.rad))
 
     def square(self):
         """The exact rational value of this radical squared, signed.
@@ -238,13 +246,13 @@ def rs(x):
     return out
 
 
-def _canonical(num, den, r):
+def _canonical(num, den, r, bound=None):
     """Canonical Radical for (num/den)*sqrt(r), den > 0, r >= 0."""
     if r < 0:
         raise ValueError("negative radicand %s" % r)
     if r == 0 or num == 0:
         return RS_ZERO
-    sq, rad = _square_split(r)
+    sq, rad = _square_split(r, bound)
     num *= sq
     k = gcd(num, den)
     return _radical(num // k, den // k, rad)
@@ -305,7 +313,8 @@ _TERM_RE = re.compile(
 def parse_value(s):
     """Inverse of render_value: one signed square root of a rational, or
     a bare rational.  Any other string, a sum of terms included, raises
-    ValueError."""
+    ValueError, and so does a radicand that trial division up to 2**16
+    cannot split: the text comes from outside the program."""
     m = _TERM_RE.fullmatch(s)
     if not m:
         raise ValueError("cannot parse value %r" % (s,))
@@ -317,5 +326,5 @@ def parse_value(s):
         raise ValueError("zero denominator in %r" % s)
     if root:
         # sign*sqrt(num/den) = (sign/den)*sqrt(num*den)
-        return _canonical(sign, den, num * den)
+        return _canonical(sign, den, num * den, 2 ** 16)
     return _canonical(sign * num, den, 1)

@@ -1,8 +1,8 @@
 """Sparse exact linear algebra for the Racah system.
 
 Only what the coupling engine needs: reduced row echelon form, rank,
-null spaces, and Gram-Schmidt under a dot product restricted to a set of
-positions.
+null spaces, Gram matrices, the orthonormality check, and Gram-Schmidt
+under a dot product restricted to a set of positions.
 
 A matrix is a list of sparse rows {column: Radical}: each nonzero entry
 of a Racah relation matrix is a single radical (one generator reduced
@@ -276,6 +276,19 @@ def vec_dot(u, v, idxs=None):
         if not a.is_zero() and not b.is_zero():
             out = out + a * b
     return out
+
+
+def gram(vectors, idxs):
+    """Gram matrix of the vectors under vec_dot over idxs."""
+    return [[vec_dot(u, v, idxs) for v in vectors] for u in vectors]
+
+
+def off_identity(vectors, dot=vec_dot):
+    """(a, b, <a|b>) for each pair a <= b of vectors whose inner product
+    under dot is not the identity's entry: 1 if a == b, else 0."""
+    return [(a, b, s) for a, u in enumerate(vectors)
+            for b, v in enumerate(vectors[a:], a)
+            if (s := dot(u, v)) != (RS_ONE if a == b else RS_ZERO)]
 
 
 def gram_schmidt(vectors, idxs):

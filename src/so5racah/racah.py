@@ -11,8 +11,8 @@ conventions pin the coefficient vectors.
 """
 
 from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankDefect
-from .exact import RS_ONE, RS_ZERO
-from .linalg import ExactMatrix, gram_schmidt, vec_dot
+from .exact import RS_ZERO
+from .linalg import ExactMatrix, gram, gram_schmidt, off_identity, vec_dot
 from .so4 import HALFHALF, so4_kronecker, so4_phi, so4_triangle, so4_usixj
 from .so5 import generator_rmes, so5_branch_so4, so5_kronecker
 
@@ -169,11 +169,6 @@ def _group_slices(columns):
     return out
 
 
-def _group_gram(vectors, idxs):
-    """Gram matrix of the vectors restricted to the positions idxs."""
-    return [[vec_dot(u, v, idxs) for v in vectors] for u in vectors]
-
-
 def _sign_positions(columns):
     """Column indices in the Condon-Shortley scan order.
 
@@ -207,8 +202,8 @@ def solve_isoscalars(g1, g2, g, system=None):
     # every label group must see the same Gram matrix M; orthonormalizing
     # under one group's positions then normalizes them all
     idxs, *rest = _group_slices(columns).values()
-    first = _group_gram(basis, idxs)
-    if any(_group_gram(basis, other) != first for other in rest):
+    first = gram(basis, idxs)
+    if any(gram(basis, other) != first for other in rest):
         raise NormInconsistency("M differs between groups")
     vectors = gram_schmidt(basis, idxs)
     meta["m_matrix"] = first
@@ -233,16 +228,9 @@ def bra_sums(columns, vectors):
     """Bra-sum orthonormality: for each product label, the last label of
     a column, the vectors restricted to its columns are orthonormal.
     vectors[rho-1][i] belongs to columns[i].  Returns failure strings."""
-    fails = []
-    D = len(vectors)
-    for lam, idxs in _group_slices(columns).items():
-        gram = _group_gram(vectors, idxs)
-        for a in range(D):
-            for b in range(a, D):
-                s = gram[a][b]
-                if s != (RS_ONE if a == b else RS_ZERO):
-                    fails.append("bra-sum at %s: <%d|%d> = %s" % (lam, a + 1, b + 1, s))
-    return fails
+    return ["bra-sum at %s: <%d|%d> = %s" % (lam, a + 1, b + 1, s)
+            for lam, idxs in _group_slices(columns).items()
+            for a, b, s in off_identity(vectors, lambda u, v: vec_dot(u, v, idxs))]
 
 
 def verify_block(block, system):
@@ -301,11 +289,6 @@ def verify_series(g1, g2, blocks=None):
             fails.append("ket-sum at %s: %d rows for %d pairs"
                          % (lam, len(rows), len(pairs)))
             continue
-        cols = list(zip(*rows))
-        for a in range(len(cols)):
-            for b in range(a, len(cols)):
-                s = vec_dot(cols[a], cols[b])
-                if s != (RS_ONE if a == b else RS_ZERO):
-                    fails.append("ket-sum at %s: columns %d,%d give %s"
-                                 % (lam, a, b, s))
+        fails += ["ket-sum at %s: columns %d,%d give %s" % (lam, a, b, s)
+                  for a, b, s in off_identity(list(zip(*rows)))]
     return fails

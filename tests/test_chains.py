@@ -16,9 +16,9 @@ from click.testing import CliRunner
 from so5racah.angmom import chain3_brackets, chain3_level
 from so5racah.chains import branch, ladder, weight_basis
 from so5racah.cli import main
-from so5racah.errors import InternalInconsistency
+from so5racah.errors import InternalInconsistency, LadderNullUnexpected
 from so5racah.halfint import HalfInt, mrange
-from so5racah.isospin import chain2_brackets, chain2_level
+from so5racah.isospin import chain2_brackets, chain2_level, chain2_lowering
 from so5racah.so5 import So5Irrep
 
 DIGESTS = {
@@ -116,6 +116,26 @@ def test_branch_rejects_a_level_that_outgrows_the_one_below():
     # ladder seats the multiplets branch counts, so it stops there too
     with pytest.raises(InternalInconsistency, match="outgrows"):
         ladder([2, 2, 0, -2, -2], level, {})
+
+
+def test_ladder_rejects_a_lowering_that_annihilates_a_multiplet():
+    # no lowering operator at all: the top vector of the first sector
+    # has nowhere to go one level down
+    with pytest.raises(LadderNullUnexpected, match="lowering annihilated"):
+        ladder(weight_basis(So5Irrep.parse("(1,1/2)")), chain2_level, {})
+
+
+def test_ladder_rejects_a_level_with_more_vectors_than_states():
+    # every negative M_T moved down by one: the lowered vectors of a
+    # level no longer fit the states the level function puts there
+    g = So5Irrep.parse("(1,1/2)")
+    basis = weight_basis(g)
+
+    def shifted(state):
+        sector, m = chain2_level(state)
+        return sector, m - 1 if m < 0 else m
+    with pytest.raises(InternalInconsistency, match=r"vectors for \d+ states"):
+        ladder(basis, shifted, chain2_lowering(g, basis))
 
 
 @pytest.mark.parametrize("level", [chain2_level, chain3_level])

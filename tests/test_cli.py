@@ -242,6 +242,29 @@ def test_tabulate_starts_no_more_workers_than_couplings(tmp_path, monkeypatch):
     assert _store_bytes(b) == _store_bytes(a)
 
 
+def test_tabulate_writes_each_record_as_its_worker_returns(tmp_path,
+                                                          monkeypatch):
+    # at --jobs 1, record k is written before coupling k + 1 is computed
+    from so5racah import cli
+    worker, write = cli._tabulate_worker, Store.write_record
+    written, seen = [], []
+
+    def counted_write(self, key, payload):
+        written.append(key)
+        return write(self, key, payload)
+
+    def counted_worker(args):
+        seen.append(len(written))
+        return worker(args)
+
+    monkeypatch.setattr(Store, "write_record", counted_write)
+    monkeypatch.setattr(cli, "_tabulate_worker", counted_worker)
+    r = run("tabulate", "--max-r", "1/2", "--store", str(tmp_path / "st"))
+    assert r.exit_code == 0, r.output
+    assert len(seen) > 1 and seen == list(range(len(seen)))
+    assert len(written) == len(seen)
+
+
 def _store_bytes(root):
     """{path under root: bytes} of every file of a store."""
     out = {}
@@ -380,7 +403,9 @@ def test_verify_reports_malformed_record(tmp_path, chain, edit):
     assert lines[-1] == "2 records checked, 1 failed"
 
 
-@pytest.mark.parametrize("value", ["sqrt(1/0)", "sqrt(x)", "sqrt(1) + sqrt(2)"])
+# the last value is 65537*65539*65543, too large to split past 2**16
+@pytest.mark.parametrize("value", ["sqrt(1/0)", "sqrt(x)", "sqrt(1) + sqrt(2)",
+                                   "sqrt(1/281522223382549)"])
 @pytest.mark.parametrize("command, chain", [
     (("couple", "--chain", "so4"), "so4"),
     (("transform", "--to", "isospin"), "isospin"),

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -124,6 +125,40 @@ def test_parse_rejects_a_sum(s):
         parse_value(s)
 
 
+def test_parse_splits_a_large_prime_radicand_quickly():
+    # 10**13 + 37 is prime: trial division stops at 2**16, and the
+    # leftover, below 2**48 and not a square, is squarefree
+    p = 10**13 + 37
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        x = parse_value("sqrt(1/%d)" % p)
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 0.05
+    # the value the unbounded split gives, p being prime
+    assert x == Radical(Fraction(1, p), p)
+
+
+def test_parse_takes_the_square_root_of_a_large_square_leftover():
+    # 65537 is the first prime past 2**16, so its square is the leftover
+    n = 65537**2 * 12
+    assert parse_value("sqrt(%d)" % n) == canonicalize(1, n) \
+        == Radical(2 * 65537, 3)
+
+
+@pytest.mark.parametrize("x", [0, 1, -3, Fraction(2, 3), Fraction(-7, 4)])
+def test_rational_radical_hashes_as_the_number_it_equals(x):
+    assert rs(x) == x and hash(rs(x)) == hash(x)
+    assert {x: "v"}.get(rs(x)) == "v"
+    assert len({rs(x), x}) == 1
+
+
+def test_irrational_radical_hash_matches_equal_radicals():
+    x = Radical(Fraction(1, 2), 2)
+    assert {x: "v"}.get(root_of_rational(1, Fraction(1, 2))) == "v"
+    assert len({x, -x, rs(Fraction(1, 2))}) == 3
+
+
 @pytest.mark.parametrize("s", ["sqrt(1/0)", "-3/0", "-sqrt(2/0)"])
 def test_parse_zero_denominator_is_malformed(s):
     # malformed text like any other, not an arithmetic error
@@ -137,8 +172,11 @@ def test_parse_zero_denominator_is_malformed(s):
     (lambda: rs(1).decimal(0), "digits must be in 1..30"),
     (lambda: root_of_rational(1, Fraction(-1, 2)), "negative radicand -1/2$"),
     (lambda: rs(Radical(1, 2)).rational(), "is not rational"),
+    # 65537 * 65539 * 65543 > 2**48 might hold a square factor that trial
+    # division up to 2**16 cannot see
+    (lambda: parse_value("sqrt(1/281522223382549)"), "too large to split"),
 ], ids=["empty", "unsigned-term", "zero-digits", "negative-radicand",
-        "irrational"])
+        "irrational", "unsplit-radicand"])
 def test_malformed_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
