@@ -248,10 +248,6 @@ def ladder(basis, level, lower):
                 scale = root_of_rational(1, _dot(resid.items(), resid).rational())
                 added += 1
                 live.append((m, added, {i: v / scale for i, v in resid.items()}))
-            if added < mu:
-                raise InternalInconsistency(
-                    "could not seat %d new j=%s multiplets, sector %s"
-                    % (mu, m, sector))
             if len(live) != len(members):
                 raise InternalInconsistency(
                     "level (%s, %s): %d vectors for %d states"

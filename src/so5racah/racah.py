@@ -10,6 +10,8 @@ dimension equal to the outer multiplicity D, and normalization + phase
 conventions pin the coefficient vectors.
 """
 
+from collections import namedtuple
+
 from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankDefect
 from .exact import RS_ZERO
 from .linalg import ExactMatrix, gram, gram_schmidt, off_identity, vec_dot
@@ -44,14 +46,7 @@ def enumerate_columns(g1, g2, g):
     return cols
 
 
-class RacahSystem:
-    """Assembled system matrix with its labels."""
-
-    def __init__(self, columns, matrix, row_labels, n_augmented):
-        self.columns = columns
-        self.matrix = matrix
-        self.row_labels = row_labels
-        self.n_augmented = n_augmented
+RacahSystem = namedtuple("RacahSystem", "columns matrix row_labels n_augmented")
 
 
 def _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp):
@@ -148,17 +143,16 @@ class IsoscalarBlock:
         self.columns = columns
         self.vectors = vectors  # vectors[rho-1][i], Radical
         self.meta = meta
-        self._index = {tuple(c): i for i, c in enumerate(columns)}
 
     @property
     def D(self):
         return len(self.vectors)
 
     def value(self, lam1, lam2, lam, rho=1):
-        i = self._index.get((lam1, lam2, lam))
-        if i is None:
+        col = (lam1, lam2, lam)
+        if col not in self.columns:
             return RS_ZERO
-        return self.vectors[rho - 1][i]
+        return self.vectors[rho - 1][self.columns.index(col)]
 
 
 def _group_slices(columns):
@@ -261,34 +255,23 @@ def verify_series(g1, g2, blocks=None):
     skip re-solving them.
     """
     fails = []
-    series = so5_kronecker(g1, g2)
-    solved = dict(blocks) if blocks else {}
-    blocks = []
-    for g, mult in series.items():
-        blk = solved.get(g)
-        if blk is None:
-            blk = solve_isoscalars(g1, g2, g)
+    pairs, rows = {}, {}  # per (XY): its pairs, and {pair: value} per (g, rho)
+    for g, mult in so5_kronecker(g1, g2).items():
+        blk = (blocks or {}).get(g) or solve_isoscalars(g1, g2, g)
         if blk.D != mult:
             fails.append("multiplicity mismatch at %s: %d vs %d"
                          % (g, blk.D, mult))
-        blocks.append(blk)
-    lams = sorted({c[2] for blk in blocks for c in blk.columns})
-    for lam in lams:
-        pairs = sorted({(c[0], c[1]) for blk in blocks for c in blk.columns
-                        if c[2] == lam})
-        rows = []
-        for blk in blocks:
-            idx = {(c[0], c[1]): i for i, c in enumerate(blk.columns)
-                   if c[2] == lam}
-            if not idx:
-                continue
-            for rho in range(1, blk.D + 1):
-                rows.append([blk.vectors[rho - 1][idx[p]] if p in idx else RS_ZERO
-                             for p in pairs])
-        if len(rows) != len(pairs):
+        for lam, idxs in _group_slices(blk.columns).items():
+            pairs.setdefault(lam, set()).update(blk.columns[i][:2] for i in idxs)
+            rows.setdefault(lam, []).extend(
+                {blk.columns[i][:2]: v[i] for i in idxs} for v in blk.vectors)
+    for lam in sorted(pairs):
+        cols = sorted(pairs[lam])
+        if len(rows[lam]) != len(cols):
             fails.append("ket-sum at %s: %d rows for %d pairs"
-                         % (lam, len(rows), len(pairs)))
+                         % (lam, len(rows[lam]), len(cols)))
             continue
         fails += ["ket-sum at %s: columns %d,%d give %s" % (lam, a, b, s)
-                  for a, b, s in off_identity(list(zip(*rows)))]
+                  for a, b, s in off_identity(
+                      [[row.get(p, RS_ZERO) for row in rows[lam]] for p in cols])]
     return fails

@@ -111,9 +111,6 @@ def su2_sixj(j1, j2, j3, j4, j5, j6):
 
 @lru_cache(maxsize=None)
 def _usixj_t(tj1, tj2, tj12, tj3, tj, tj23):
-    if not (_tri2(tj1, tj2, tj12) and _tri2(tj12, tj3, tj)
-            and _tri2(tj2, tj3, tj23) and _tri2(tj1, tj23, tj)):
-        return RS_ZERO
     six = _sixj_t(tj1, tj2, tj12, tj3, tj, tj23)
     if six.is_zero():
         return RS_ZERO

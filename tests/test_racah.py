@@ -186,6 +186,48 @@ def test_verify_series_reports_each_check():
     assert not any("mismatch" in f or "rows for" in f for f in fails)
 
 
+def test_verify_series_counts_the_pairs_of_an_empty_block():
+    # a block with no vectors still brings its pairs into each ket-sum,
+    # so the rows fall short at every one of its product labels
+    blocks = {g: solve_isoscalars(G1, G2, g) for g in so5_kronecker(G1, G2)}
+    expected = {
+        (H, 0): ["multiplicity mismatch at (1/2,0): 0 vs 1",
+                 "ket-sum at (0,1/2): 3 rows for 4 pairs",
+                 "ket-sum at (1/2,0): 3 rows for 4 pairs"],
+        (1, H): ["multiplicity mismatch at (1,1/2): 0 vs 2",
+                 "ket-sum at (0,1/2): 2 rows for 4 pairs",
+                 "ket-sum at (1/2,0): 2 rows for 4 pairs",
+                 "ket-sum at (1/2,1): 3 rows for 5 pairs",
+                 "ket-sum at (1,1/2): 3 rows for 5 pairs"],
+        (Fraction(3, 2), 0): ["multiplicity mismatch at (3/2,0): 0 vs 1",
+                              "ket-sum at (0,3/2): 1 rows for 2 pairs",
+                              "ket-sum at (1/2,1): 4 rows for 5 pairs",
+                              "ket-sum at (1,1/2): 4 rows for 5 pairs",
+                              "ket-sum at (3/2,0): 1 rows for 2 pairs"],
+        (Fraction(3, 2), 1): ["multiplicity mismatch at (3/2,1): 0 vs 1",
+                              "ket-sum at (0,1/2): 3 rows for 4 pairs",
+                              "ket-sum at (1/2,0): 3 rows for 4 pairs",
+                              "ket-sum at (1/2,1): 4 rows for 5 pairs",
+                              "ket-sum at (1,1/2): 4 rows for 5 pairs",
+                              "ket-sum at (1,3/2): 1 rows for 2 pairs",
+                              "ket-sum at (3/2,1): 1 rows for 2 pairs"],
+        (2, H): ["multiplicity mismatch at (2,1/2): 0 vs 1",
+                 "ket-sum at (0,3/2): 1 rows for 2 pairs",
+                 "ket-sum at (1/2,1): 4 rows for 5 pairs",
+                 "ket-sum at (1/2,2): 0 rows for 1 pairs",
+                 "ket-sum at (1,1/2): 4 rows for 5 pairs",
+                 "ket-sum at (1,3/2): 1 rows for 2 pairs",
+                 "ket-sum at (3/2,0): 1 rows for 2 pairs",
+                 "ket-sum at (3/2,1): 1 rows for 2 pairs",
+                 "ket-sum at (2,1/2): 0 rows for 1 pairs"],
+    }
+    assert sorted(blocks) == sorted(So5Irrep(*g) for g in expected)
+    for g, fails in expected.items():
+        g = So5Irrep(*g)
+        empty = _with_vectors(blocks[g], [])
+        assert verify_series(G1, G2, {**blocks, g: empty}) == fails
+
+
 def test_conventions_are_stamped():
     blk = solve_isoscalars(So5Irrep(H, 0), So5Irrep(H, 0), So5Irrep(1, 0))
     for k in CONVENTIONS:

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from so5racah.exact import RS_ZERO, Radical, rs
-from so5racah.halfint import hi, jrange, mrange, trirange
+from so5racah.halfint import hi, jrange, mrange, triangle, trirange
 from so5racah.su2 import su2_cg, su2_phi, su2_sixj, su2_usixj
 
 H = Fraction(1, 2)
@@ -133,6 +134,20 @@ def test_usixj_matches_recoupling_sum():
                                 j1, j2, j12, j3, j, j23)
                             checked += 1
     assert checked > 200
+
+
+def test_usixj_vanishes_on_broken_triads():
+    # the recoupling sum above visits only valid label sets; here one of
+    # the four triads of U fails: by the triangle rule alone over integer
+    # j, and mostly by parity once j = 1/2 joins them
+    for js, count in [(jrange(0, 2), 602), (jrange(0, 1) + [hi(H)], 682)]:
+        broken = [(j1, j2, j12, j3, j, j23)
+                  for j1, j2, j12, j3, j, j23 in product(js, repeat=6)
+                  if not (triangle(j1, j2, j12) and triangle(j12, j3, j)
+                          and triangle(j2, j3, j23) and triangle(j1, j23, j))]
+        assert len(broken) == count
+        for labels in broken:
+            assert su2_usixj(*labels) == RS_ZERO, labels
 
 
 def test_usixj_orthogonality():
