@@ -8,8 +8,8 @@ Two total orders matter and they differ:
 
 * canonical order: lex ascending on (2X, 2Y); used everywhere a list
   of irreps or a matrix column order is built.
-* weight order: lex on (2X+2Y, 2X); "highest" in the branching or
-  peeling sense always means maximal in this order.
+* weight order: lex on (2X+2Y, 2X); "highest" in the branching sense
+  always means maximal in this order.
 """
 
 from .halfint import HalfInt, PairLabel, mrange, triangle, trirange

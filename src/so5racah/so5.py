@@ -11,10 +11,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BranchingViolation, InternalInconsistency, OutOfRange
+from .errors import BranchingViolation, OutOfRange
 from .exact import RS_ZERO, root_of_rational
 from .halfint import HalfInt, PairLabel, sign_pow
-from .so4 import So4Irrep, so4_kronecker
+from .so4 import So4Irrep
 
 
 class So5Irrep(PairLabel):
@@ -106,39 +106,25 @@ def so5_branch_so4(g):
 def so5_kronecker(g1, g2):
     """Kronecker series of g1 x g2 as {So5Irrep: multiplicity}.
 
-    Reduced-weight peeling: aggregate the SO(4) content of the pairwise
-    products of the branchings, then repeatedly strip the branching of
-    the highest remaining label (in weight order).  The highest label
-    always has X >= Y and is the (R, S) of a series member.
+    Brauer-Klimyk formula (the Racah-Speiser algorithm): each weight of
+    g2 plus the highest weight of g1 plus rho, in doubled coordinates
+    (a, b) = 2([l1, l2] + rho) with rho = (3/2, 1/2), is moved into the
+    dominant chamber a > b > 0 by sign flips and the swap of a and b.
+    It adds (-1)^(number of moves) to the irrep there, or nothing if it
+    lies on a wall (a == b or b == 0).
     """
-    bag = Counter()
-    for a in so5_branch_so4(g1):
-        for b in so5_branch_so4(g2):
-            for c in so4_kronecker(a, b):
-                bag[c] += 1
-    series = {}
-    first = True
-    while bag:
-        top = max(bag, key=So4Irrep.weight_key)
-        mult = bag[top]
-        if top.X.twice < top.Y.twice:
-            raise InternalInconsistency("peeled X < Y at %s" % top)
-        g = So5Irrep(top.X, top.Y)
-        if first:
-            if g.key() != (g1.R.twice + g2.R.twice, g1.S.twice + g2.S.twice):
-                raise InternalInconsistency("first peel is not (R1+R2, S1+S2)")
-            first = False
-        for c in so5_branch_so4(g):
-            have = bag.get(c, 0)
-            if have < mult:
-                raise InternalInconsistency(
-                    "peeling %s: content %s short (%d < %d)" % (g, c, have, mult))
-            if have == mult:
-                del bag[c]
-            else:
-                bag[c] = have - mult
-        series[g] = series.get(g, 0) + mult
-    return dict(sorted(series.items()))
+    a0 = g1.R.twice + g1.S.twice + 3
+    b0 = g1.R.twice - g1.S.twice + 1
+    series = Counter()
+    for lam in so5_branch_so4(g2):
+        for mx, my in lam.weights():
+            a, b = a0 + mx.twice + my.twice, b0 + mx.twice - my.twice
+            moves = (a < 0) + (b < 0) + (abs(a) < abs(b))
+            a, b = sorted((abs(a), abs(b)), reverse=True)
+            if a != b and b:
+                series[So5Irrep(HalfInt((a + b - 4) // 2),
+                                HalfInt((a - b - 2) // 2))] += sign_pow(moves)
+    return {g: d for g, d in sorted(series.items()) if d}
 
 
 # -- generator reduced matrix elements -------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from so5racah.errors import BranchingViolation, OutOfRange
 from so5racah.exact import RS_ZERO, Radical, root_of_rational, rs
 from so5racah.halfint import HalfInt, hi
-from so5racah.so4 import So4Irrep
+from so5racah.so4 import So4Irrep, so4_kronecker
 from so5racah.so5 import SCHEMES, So5Irrep, convert_label, generator_rme, \
     generator_rmes, so5_branch_so4, so5_kronecker
 
@@ -170,15 +171,46 @@ def test_kronecker_outer_multiplicity_two():
     assert series[So5Irrep(1, H)] == 2
 
 
+def _labels_up_to(tr_max):
+    return [So5Irrep(HalfInt(tr), HalfInt(ts))
+            for tr in range(0, tr_max + 1) for ts in range(0, tr + 1)]
+
+
+def _check_so4_content(g1, g2, series):
+    """The series branches to the SO(4) content of g1 x g2: the sum of
+    the SO(4) Kronecker products of the two branchings."""
+    assert all(m > 0 for m in series.values())
+    assert list(series) == sorted(series, key=So5Irrep.key)
+    top = So5Irrep(HalfInt(g1.R.twice + g2.R.twice),
+                   HalfInt(g1.S.twice + g2.S.twice))
+    assert series.get(top) == 1
+    content = Counter()
+    for g, m in series.items():
+        for lam in so5_branch_so4(g):
+            content[lam] += m
+    product = Counter(lam for lam1 in so5_branch_so4(g1)
+                      for lam2 in so5_branch_so4(g2)
+                      for lam in so4_kronecker(lam1, lam2))
+    assert content == product, (g1, g2)
+
+
 def test_kronecker_conserves_dim_and_commutes():
-    labels = [So5Irrep(HalfInt(tr), HalfInt(ts))
-              for tr in range(0, 5) for ts in range(0, tr + 1)]
+    labels = _labels_up_to(4)
     for g1 in labels:
         for g2 in labels:
             series = so5_kronecker(g1, g2)
             assert sum(g.dim * m for g, m in series.items()) \
                 == g1.dim * g2.dim
             assert series == so5_kronecker(g2, g1)
+            _check_so4_content(g1, g2, series)
+
+
+@pytest.mark.slow
+def test_kronecker_so4_content_up_to_r4():
+    labels = _labels_up_to(8)
+    for g1 in labels:
+        for g2 in labels:
+            _check_so4_content(g1, g2, so5_kronecker(g1, g2))
 
 
 def test_rme_frozen_vector_irrep():
