@@ -20,16 +20,17 @@ so that (M v)[i] = sum_j mat[j][i] * v[j].
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from types import MappingProxyType
 
 from .errors import InternalInconsistency, LadderNullUnexpected
 from .exact import RS_ONE, RS_ZERO, root_of_rational, rs
-from .halfint import HalfInt, mrange, triangle
+from .halfint import HalfInt
 from .linalg import off_identity
 from .so4 import HALFHALF, so4_cg
 from .so5 import generator_rmes, so5_branch_so4
-from .su2 import su2_cg
+from .su2 import _cg_t, _tri2
 
 
 class BracketSet:
@@ -287,6 +288,59 @@ def verify_brackets(bs, level, lower):
 
 # -- coefficient transformation --------------------------------------------
 
+def _su2_coupling(t1, t2, t):
+    """For each doubled weight tm of t, ascending, the (a1, a2, cg) of
+    the nonzero CGs <t1/2 m1; t2/2 m2 | t/2 m>, m1 ascending, with a1
+    and a2 the indices of m1 and m2 from -t1/2 and -t2/2."""
+    out = []
+    for tm in range(-t, t + 1, 2):
+        terms = []
+        for a1, tm1 in enumerate(range(-t1, t1 + 1, 2)):
+            if abs(tm - tm1) <= t2:
+                cg = _cg_t(t1, tm1, t2, tm - tm1, t, tm)
+                if not cg.is_zero():
+                    terms.append((a1, (tm - tm1 + t2) // 2, cg))
+        out.append(terms)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _so4_coupling(lam1, lam2, lam):
+    """SO(4) CGs of lam1 x lam2 -> lam over weight indices: for each
+    weight of lam, in lam.weights() order, a tuple of (i1, i2, cg) with
+    i1, i2 the indices of the weights of lam1 and lam2 in their
+    weights() order and cg = cx * cy the product of the nonzero X and Y
+    SU(2) CGs, (M_X1, M_Y1) ascending.  Shared by every block and chain."""
+    ny1, ny2 = lam1.Y.twice + 1, lam2.Y.twice + 1
+    xs = _su2_coupling(lam1.X.twice, lam2.X.twice, lam.X.twice)
+    ys = _su2_coupling(lam1.Y.twice, lam2.Y.twice, lam.Y.twice)
+    return tuple(tuple((ax1 * ny1 + ay1, ax2 * ny2 + ay2, cx * cy)
+                       for ax1, ax2, cx in x for ay1, ay2, cy in y)
+                 for x in xs for y in ys)
+
+
+def _first_positions(basis):
+    """{lam: position of its first weight} over a weight basis."""
+    first = {}
+    for pos, state in enumerate(basis):
+        first.setdefault(state[0], pos)
+    return first
+
+
+def _multiplets(entries):
+    """(label, 2j, sector, vectors) for each multiplet of a bracket set,
+    in the order of their m = j keys: label is sector + (k, j), sector
+    is its doubled ints and vectors[(2m + 2j) / 2] the bracket terms at
+    m, from m = -j to j."""
+    out = []
+    for key in entries:
+        if key[-1] == key[-2]:
+            lab, tj = key[:-1], key[-2].twice
+            out.append((lab, tj, tuple(s.twice for s in lab[:-2]),
+                        [entries[lab + (HalfInt(tm),)] for tm in range(-tj, tj + 1, 2)]))
+    return out
+
+
 def transform(block, brackets, row, order):
     """Reduced coupling coefficients of block in a chain basis.
 
@@ -297,98 +351,99 @@ def transform(block, brackets, row, order):
     multiplicity, evaluated at m = j and checked to be identical at
     m = j - 1.  Rows are returned sorted by order.
 
-    The sum is staged over positions in the weight bases.  Each
-    canonical state of g is coupled once per rho from the canonical
-    coefficients and SO(4) CGs, sparse over product states (p1, p2) of
-    g1 and g2, with so4_cg factored into its X and Y SU(2) parts.  A
-    chain state of g, at m = j and m = j - 1, sums its bracket terms
-    over those.  Contracting the sum with a chain vector of g1 and
-    taking the dot product with one of g2 gives their overlap, and
-    SU(2) CGs over m1 combine the overlaps into a row value.  The memo
-    tables live for one call.
+    The sum is staged over int positions in the weight bases, which are
+    ordered by SO(4) label and then (M_X, M_Y).  Each canonical state of g
+    is coupled once per rho from the canonical coefficients and the
+    cached SO(4) CG table of each column's label triple, sparse over
+    product states (p1, p2) of g1 and g2: a table entry (i1, i2, cg) is
+    offset by the first positions of lam1 and lam2.  A chain state of g,
+    at m = j and m = j - 1, sums its bracket terms over those.
+    Contracting the sum with a chain vector of g1 and taking the dot
+    product with one of g2 gives their overlap, and SU(2) CGs over m1,
+    on doubled-int weights, combine the overlaps into a row value.  The
+    memo tables, keyed by ints, live for one call.
     """
     sets = [brackets(g) for g in (block.g1, block.g2, block.g)]
-    vecs = [bs.entries for bs in sets]
-    index1, index2 = ({s: p for p, s in enumerate(bs.basis)} for bs in sets[:2])
+    first1, first2, first = map(_first_positions, (bs.basis for bs in sets))
+    mult1, mult2, mult = (_multiplets(bs.entries) for bs in sets)
     pairs = {}
     for col, (lam1, lam2, lam) in enumerate(block.columns):
-        pairs.setdefault(lam, []).append((lam1, lam2, col))
-    coupled = {}
+        pairs.setdefault(lam, []).append(
+            (first1[lam1], first2[lam2], _so4_coupling(lam1, lam2, lam), col))
+    coupled = [{} for _ in range(block.D)]
 
     def couple(rho, pos):
         """The canonical state at pos of g as {p1: {p2: value}}; each
         (lam1, lam2) is one column per lam, so each (p1, p2) is set once."""
-        lam, mx, my = sets[2].basis[pos]
+        lam = sets[2].basis[pos][0]
+        w = pos - first[lam]
         out = {}
-        for lam1, lam2, col in pairs[lam]:
+        for o1, o2, table, col in pairs[lam]:
             cc = block.vectors[rho][col]
             if cc.is_zero():
                 continue
-            for mx1 in mrange(lam1.X):
-                mx2 = mx - mx1
-                cx = su2_cg(lam1.X, mx1, lam2.X, mx2, lam.X, mx)
-                if cx.is_zero():
-                    continue
-                for my1 in mrange(lam1.Y):
-                    my2 = my - my1
-                    cy = su2_cg(lam1.Y, my1, lam2.Y, my2, lam.Y, my)
-                    if not cy.is_zero():
-                        out.setdefault(index1[lam1, mx1, my1], {})[
-                            index2[lam2, mx2, my2]] = cc * (cx * cy)
+            for i1, i2, cg in table[w]:
+                out.setdefault(o1 + i1, {})[o2 + i2] = cc * cg
         return out
 
-    def chain_state(key, rho):
-        """The chain state key of g as {p1: {p2: value}}."""
+    def chain_state(terms, rho):
+        """The chain state with bracket terms of g as {p1: {p2: value}}."""
         psi = {}
-        for pos, c in vecs[2][key]:
-            states = coupled.get((rho, pos))
+        memo = coupled[rho]
+        for pos, c in terms:
+            states = memo.get(pos)
             if states is None:
-                states = coupled[rho, pos] = couple(rho, pos)
-            for p1, row in states.items():
-                _axpy(psi.setdefault(p1, {}), c, row)
+                states = memo[pos] = couple(rho, pos)
+            for p1, prow in states.items():
+                _axpy(psi.setdefault(p1, {}), c, prow)
         return psi
 
-    def values(psi, triples, j, m):
-        """{(lab1, lab2): value} at weight m of the chain state psi."""
+    def values(psi, triples, tj, tm):
+        """[value of each (n1, n2) of triples] at doubled weight tm of the
+        chain state psi, n1 and n2 indexing mult1 and mult2."""
         halves = {}
-        out = {}
-        for lab1, lab2 in triples:
+        out = []
+        for n1, n2 in triples:
+            _, tj1, _, vecs1 = mult1[n1]
+            _, tj2, _, vecs2 = mult2[n2]
             total = RS_ZERO
-            for m1 in mrange(lab1[-1]):
-                m2 = m - m1
-                if abs(m2) > lab2[-1]:
+            for tm1 in range(-tj1, tj1 + 1, 2):
+                tm2 = tm - tm1
+                if abs(tm2) > tj2:
                     continue
-                half = halves.get((lab1, m1))
+                half = halves.get((n1, tm1))
                 if half is None:
-                    half = halves[(lab1, m1)] = {}
-                    for p1, c1 in vecs[0][lab1 + (m1,)]:
-                        _axpy(half, c1, psi.get(p1, {}))
-                dot = _dot(vecs[1][lab2 + (m2,)], half)
+                    half = halves[n1, tm1] = {}
+                    for p1, c1 in vecs1[(tm1 + tj1) // 2]:
+                        prow = psi.get(p1)
+                        if prow:
+                            _axpy(half, c1, prow)
+                dot = _dot(vecs2[(tm2 + tj2) // 2], half)
                 if not dot.is_zero():
-                    total = total + su2_cg(lab1[-1], m1, lab2[-1], m2, j, m) * dot
-            out[(lab1, lab2)] = total
+                    total = total + _cg_t(tj1, tm1, tj2, tm2, tj, tm) * dot
+            out.append(total)
         return out
 
-    # sector + (k, j) of each multiplet, from its m = j key
-    labs = [[key[:-1] for key in v if key[-1] == key[-2]] for v in vecs]
-    sectors = {(lab1, lab2): tuple(map(add, lab1[:-2], lab2[:-2]))
-               for lab1 in labs[0] for lab2 in labs[1]}
+    by_sector = {}
+    for n1, (_, _, sec1, _) in enumerate(mult1):
+        for n2, (_, _, sec2, _) in enumerate(mult2):
+            by_sector.setdefault(tuple(map(add, sec1, sec2)), []).append((n1, n2))
     rows = []
-    for lab in labs[2]:
-        j = lab[-1]
-        triples = [(lab1, lab2) for (lab1, lab2), sector in sectors.items()
-                   if sector == lab[:-2] and triangle(lab1[-1], lab2[-1], j)]
+    for lab, tj, sec, vecs in mult:
+        triples = [(n1, n2) for n1, n2 in by_sector.get(sec, ())
+                   if _tri2(mult1[n1][1], mult2[n2][1], tj)]
         per_rho = []
         for rho in range(block.D):
-            at_j = values(chain_state(lab + (j,), rho), triples, j, j)
-            if j.twice >= 1:
-                below = values(chain_state(lab + (j - 1,), rho), triples, j, j - 1)
-                for lab1, lab2 in triples:
-                    if at_j[(lab1, lab2)] != below[(lab1, lab2)]:
-                        raise InternalInconsistency(
-                            "m dependence at %s" % ((lab1, lab2, lab, rho + 1),))
+            at_j = values(chain_state(vecs[-1], rho), triples, tj, tj)
+            if tj >= 1:
+                below = values(chain_state(vecs[-2], rho), triples, tj, tj - 2)
+                for (n1, n2), a, b in zip(triples, at_j, below):
+                    if a != b:
+                        raise InternalInconsistency("m dependence at %s" % (
+                            (mult1[n1][0], mult2[n2][0], lab, rho + 1),))
             per_rho.append(at_j)
-        for lab1, lab2 in triples:
-            rows.append(row(*lab1, *lab2, *lab, tuple(v[(lab1, lab2)] for v in per_rho)))
+        for t, (n1, n2) in enumerate(triples):
+            rows.append(row(*mult1[n1][0], *mult2[n2][0], *lab,
+                            tuple(v[t] for v in per_rho)))
     rows.sort(key=order)
     return rows

@@ -11,6 +11,9 @@ from fractions import Fraction
 from functools import total_ordering
 
 
+_FLOAT_EXACT = 2 ** 53
+
+
 @total_ordering
 class HalfInt:
     """A value j with 2j integer, stored as ``twice = 2j``."""
@@ -100,10 +103,13 @@ class HalfInt:
         return self.twice < t
 
     def __hash__(self):
-        # twice / 2 is exact for any label met here (|twice| < 2**53), and
-        # Python's numeric hash of an exact float equals that of the
-        # equal Fraction or int, so equal values still hash alike
-        return hash(self.twice / 2)
+        # Python's numeric hash of an exact float equals that of the equal
+        # Fraction or int; twice / 2 is exact while |twice| <= 2**53, and
+        # beyond that the Fraction gives the same hash without rounding
+        t = self.twice
+        if -_FLOAT_EXACT <= t <= _FLOAT_EXACT:
+            return hash(t / 2)
+        return hash(Fraction(t, 2))
 
     def __bool__(self):
         return self.twice != 0

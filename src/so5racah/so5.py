@@ -111,8 +111,11 @@ def so5_kronecker(g1, g2):
     (a, b) = 2([l1, l2] + rho) with rho = (3/2, 1/2), is moved into the
     dominant chamber a > b > 0 by sign flips and the swap of a and b.
     It adds (-1)^(number of moves) to the irrep there, or nothing if it
-    lies on a wall (a == b or b == 0).
+    lies on a wall (a == b or b == 0).  The product is symmetric, so the
+    sum runs over the weights of the smaller factor (g2 on a tie).
     """
+    if g1.dim < g2.dim:
+        g1, g2 = g2, g1
     a0 = g1.R.twice + g1.S.twice + 3
     b0 = g1.R.twice - g1.S.twice + 1
     series = Counter()

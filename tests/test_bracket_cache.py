@@ -4,6 +4,7 @@ the same read-only object, and cache_clear() starts over."""
 import pytest
 
 from so5racah.angmom import chain3_brackets, chain3_transform
+from so5racah.chains import _so4_coupling
 from so5racah.isospin import chain2_brackets, chain2_transform
 from so5racah.racah import solve_isoscalars
 from so5racah.so5 import So5Irrep
@@ -28,7 +29,11 @@ def test_transform_unchanged_by_cache_clear(brackets, transform):
     block = solve_isoscalars(g1, g2, g)
     warm = transform(block)
     before = brackets(g2)
+    table = _so4_coupling(*block.columns[0])
     brackets.cache_clear()
+    _so4_coupling.cache_clear()
+    assert _so4_coupling.cache_info().currsize == 0
     cold = transform(block)
     assert brackets(g2) is not before
+    assert _so4_coupling(*block.columns[0]) is not table
     assert cold == warm

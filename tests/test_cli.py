@@ -30,6 +30,15 @@ def test_couple_text():
     assert len(r.output.strip().splitlines()) == 6
 
 
+def test_couple_huge_factor_not_in_series():
+    # the Kronecker series of a scalar with a huge irrep is that irrep
+    # alone, found without walking its weights
+    r = run("couple", "--g1", "(0,0)", "--g2", "(99999999999999999999,0)",
+            "--g", "(0,0)")
+    assert r.exit_code == 3
+    assert "not in" in r.output
+
+
 def test_couple_csv_no_embedded_commas():
     r = run("couple", "--g1", "(1/2,1/2)", "--g2", "(1/2,0)", "--g", "(1/2,0)",
             "--format", "csv")

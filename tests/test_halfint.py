@@ -53,6 +53,17 @@ def test_hash_agrees_with_fraction():
         assert hash(HalfInt(t)) == hash(Fraction(t, 2))
 
 
+@pytest.mark.parametrize("twice", [2 * (2**53 + 1), 2 * (2**53 + 1) + 1,
+                                   -2 * (2**60 + 3), -(2**61) - 1])
+def test_hash_agrees_above_float_precision(twice):
+    # twice / 2 rounds as a float here; equal values must still hash alike
+    assert hash(HalfInt(twice)) == hash(Fraction(twice, 2))
+    if twice % 2 == 0:
+        assert HalfInt(twice) == twice // 2
+        assert hash(HalfInt(twice)) == hash(twice // 2)
+        assert {twice // 2: "x"}[HalfInt(twice)] == "x"
+
+
 def test_views():
     assert hi(Fraction(1, 2)).as_fraction() == Fraction(1, 2)
 

@@ -171,6 +171,14 @@ def test_kronecker_outer_multiplicity_two():
     assert series[So5Irrep(1, H)] == 2
 
 
+def test_kronecker_sums_over_the_smaller_factor():
+    # the sum runs over the weights of the smaller factor, so a huge one
+    # costs no more than its label arithmetic
+    big = So5Irrep(10**20, 0)
+    assert so5_kronecker(So5Irrep(0, 0), big) == {big: 1}
+    assert so5_kronecker(big, So5Irrep(0, 0)) == {big: 1}
+
+
 def _labels_up_to(tr_max):
     return [So5Irrep(HalfInt(tr), HalfInt(ts))
             for tr in range(0, tr_max + 1) for ts in range(0, tr + 1)]
