@@ -55,13 +55,16 @@ class HalfInt:
             return HalfInt.make(Fraction(num, den))
         return HalfInt.make(int(s))
 
-    # -- arithmetic (results are HalfInt; other may be int or HalfInt)
+    # -- arithmetic (results are HalfInt; other is an int, a HalfInt or a
+    # Fraction whose double is an int)
 
     def _twice_of(self, other):
         if isinstance(other, HalfInt):
             return other.twice
         if isinstance(other, int) and not isinstance(other, bool):
             return 2 * other
+        if isinstance(other, Fraction) and other.denominator <= 2:
+            return other.numerator * (2 // other.denominator)
         return None
 
     def __add__(self, other):
@@ -183,12 +186,19 @@ def mrange(j):
     return [HalfInt(t) for t in range(-j.twice, j.twice + 1, 2)]
 
 
+def twices(*xs):
+    """The doubled ints 2x of values coercible to HalfInt."""
+    return [HalfInt.make(x).twice for x in xs]
+
+
+def _tri2(ta, tb, tc):
+    """Triangle check on doubled ints, including parity."""
+    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
+
+
 def triangle(j1, j2, j3):
     """Triangle condition, including the integer perimeter requirement."""
-    t1, t2, t3 = HalfInt.make(j1).twice, HalfInt.make(j2).twice, HalfInt.make(j3).twice
-    if (t1 + t2 + t3) % 2:
-        return False
-    return abs(t1 - t2) <= t3 <= t1 + t2
+    return _tri2(*twices(j1, j2, j3))
 
 
 def trirange(j1, j2):

@@ -12,8 +12,8 @@ Two total orders matter and they differ:
   always means maximal in this order.
 """
 
-from .halfint import HalfInt, PairLabel, mrange, triangle, trirange
-from .su2 import su2_cg, su2_phi, su2_usixj
+from .halfint import HalfInt, PairLabel, _tri2, mrange, trirange
+from .su2 import _usixj_t, su2_cg, su2_phi
 
 
 class So4Irrep(PairLabel):
@@ -47,14 +47,13 @@ SCALAR = So4Irrep(0, 0)
 
 
 def so4_triangle(g1, g2, g):
-    return triangle(g1.X, g2.X, g.X) and triangle(g1.Y, g2.Y, g.Y)
+    return (_tri2(g1.X.twice, g2.X.twice, g.X.twice)
+            and _tri2(g1.Y.twice, g2.Y.twice, g.Y.twice))
 
 
 def so4_kronecker(g1, g2):
     """Kronecker series, multiplicity-free, in canonical order."""
-    out = [So4Irrep(x, y) for x in trirange(g1.X, g2.X) for y in trirange(g1.Y, g2.Y)]
-    out.sort()
-    return out
+    return [So4Irrep(x, y) for x in trirange(g1.X, g2.X) for y in trirange(g1.Y, g2.Y)]
 
 
 def so4_cg(g1, w1, g2, w2, g, w):
@@ -65,8 +64,10 @@ def so4_cg(g1, w1, g2, w2, g, w):
 
 def so4_usixj(g1, g2, g12, g3, g, g23):
     """Unitary 6-label recoupling symbol, factorized over the chains."""
-    return (su2_usixj(g1.X, g2.X, g12.X, g3.X, g.X, g23.X)
-            * su2_usixj(g1.Y, g2.Y, g12.Y, g3.Y, g.Y, g23.Y))
+    return (_usixj_t(g1.X.twice, g2.X.twice, g12.X.twice,
+                     g3.X.twice, g.X.twice, g23.X.twice)
+            * _usixj_t(g1.Y.twice, g2.Y.twice, g12.Y.twice,
+                       g3.Y.twice, g.Y.twice, g23.Y.twice))
 
 
 def so4_phi(g1, g2, g):

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import RS_ZERO, root_of_rational
-from .halfint import HalfInt, sign_pow
+from .halfint import _tri2, sign_pow, twices
 
 
 def _fac2(t):
@@ -19,11 +19,6 @@ def _fac2(t):
     if t < 0 or t % 2:
         raise ValueError("factorial of %s/2" % t)
     return factorial(t // 2)
-
-
-def _tri2(ta, tb, tc):
-    """Triangle check on doubled ints, including parity."""
-    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
 def _delta2(ta, tb, tc):
@@ -69,11 +64,7 @@ def _cg_t(tj1, tm1, tj2, tm2, tj, tm):
 
 def su2_cg(j1, m1, j2, m2, j, m):
     """<j1 m1; j2 m2 | j m> in the Condon-Shortley convention."""
-    return _cg_t(
-        HalfInt.make(j1).twice, HalfInt.make(m1).twice,
-        HalfInt.make(j2).twice, HalfInt.make(m2).twice,
-        HalfInt.make(j).twice, HalfInt.make(m).twice,
-    )
+    return _cg_t(*twices(j1, m1, j2, m2, j, m))
 
 
 def _sixj_t(tj1, tj2, tj3, tj4, tj5, tj6):
@@ -106,7 +97,7 @@ def _sixj_t(tj1, tj2, tj3, tj4, tj5, tj6):
 
 def su2_sixj(j1, j2, j3, j4, j5, j6):
     """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}."""
-    return _sixj_t(*(HalfInt.make(j).twice for j in (j1, j2, j3, j4, j5, j6)))
+    return _sixj_t(*twices(j1, j2, j3, j4, j5, j6))
 
 
 @lru_cache(maxsize=None)
@@ -126,16 +117,12 @@ def su2_usixj(j1, j2, j12, j3, j, j23):
     change of coupling order, related to the 6j by phases and hat
     factors.
     """
-    return _usixj_t(
-        HalfInt.make(j1).twice, HalfInt.make(j2).twice,
-        HalfInt.make(j12).twice, HalfInt.make(j3).twice,
-        HalfInt.make(j).twice, HalfInt.make(j23).twice,
-    )
+    return _usixj_t(*twices(j1, j2, j12, j3, j, j23))
 
 
 def su2_phi(j1, j2, j):
     """Interchange phase (-1)**(j1+j2-j) of the SU(2) coupling."""
-    t = HalfInt.make(j1).twice + HalfInt.make(j2).twice - HalfInt.make(j).twice
-    if t % 2:
+    t1, t2, t = twices(j1, j2, j)
+    if (t1 + t2 - t) % 2:
         raise ValueError("non-integral phase exponent")
-    return sign_pow(t // 2)
+    return sign_pow((t1 + t2 - t) // 2)

@@ -85,3 +85,21 @@ def test_triangle():
 
 def test_phase_and_dim():
     assert sign_pow(-3) == -1
+
+
+def test_half_integer_fractions_are_the_same_values():
+    # equality, order and arithmetic agree with the hash, which already
+    # equals that of the Fraction
+    assert HalfInt(2) == Fraction(1)
+    assert Fraction(3, 2) == HalfInt(3)
+    assert HalfInt(3) in {Fraction(3, 2)}
+    assert Fraction(3, 2) in {HalfInt(3)}
+    assert HalfInt(4) > Fraction(3, 2) > HalfInt(1)
+    assert HalfInt(-3) < Fraction(-1)
+    assert HalfInt(3) + Fraction(1, 2) == HalfInt(4)
+    assert Fraction(1, 2) - HalfInt(3) == HalfInt(-2)
+    assert type(Fraction(1, 2) + HalfInt(3)) is HalfInt
+    # a Fraction that is not a half-integer is another value
+    assert HalfInt(1) != Fraction(1, 3)
+    assert Fraction(1, 3) != HalfInt(1)
+    assert HalfInt(1) not in {Fraction(1, 3)}
