@@ -30,6 +30,16 @@ def outer_multiplicity(g1, g2, g):
     return series.get(g, 0)
 
 
+def _triples(g1, g2, lams):
+    """Triangle-compatible (L1, L2, L) with L1 in branch(g1), L2 in
+    branch(g2) and L from lams, L1 outermost, then L2, then L."""
+    for lam1 in so5_branch_so4(g1):
+        for lam2 in so5_branch_so4(g2):
+            for lam in lams:
+                if so4_triangle(lam1, lam2, lam):
+                    yield lam1, lam2, lam
+
+
 def enumerate_columns(g1, g2, g):
     """Label triples (L1, L2, L) for the unknown coefficients.
 
@@ -37,13 +47,7 @@ def enumerate_columns(g1, g2, g):
     (X2Y2), each in canonical SO(4) order; this matches the layout the
     solved vectors are reported in.
     """
-    cols = []
-    for lam in so5_branch_so4(g):
-        for lam1 in so5_branch_so4(g1):
-            for lam2 in so5_branch_so4(g2):
-                if so4_triangle(lam1, lam2, lam):
-                    cols.append((lam1, lam2, lam))
-    return cols
+    return sorted(_triples(g1, g2, so5_branch_so4(g)), key=lambda c: c[2])
 
 
 RacahSystem = namedtuple("RacahSystem", "columns matrix row_labels n_augmented")
@@ -85,28 +89,24 @@ def _relations(g1, g2, g, colindex, lams):
     """Yield (labels, row) for every nonempty relation whose product
     label lam is taken from lams, in canonical order."""
     branch_g = so5_branch_so4(g)
-    for lam1 in so5_branch_so4(g1):
-        for lam2 in so5_branch_so4(g2):
-            for lam in lams:
-                if not so4_triangle(lam1, lam2, lam):
-                    continue
-                for lamp in branch_g:
-                    if not so4_triangle(lamp, HALFHALF, lam):
-                        continue
-                    row = _racah_row(g1, g2, g, colindex,
-                                     lam1, lam2, lam, lamp)
-                    if row is not None:
-                        yield (lam1, lam2, lam, lamp), row
+    for lam1, lam2, lam in _triples(g1, g2, lams):
+        for lamp in branch_g:
+            if so4_triangle(lamp, HALFHALF, lam):
+                row = _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp)
+                if row is not None:
+                    yield (lam1, lam2, lam, lamp), row
 
 
 def build_system(g1, g2, g):
     """Assemble the relation matrix; all-zero rows are dropped.
 
-    If the normal rows leave the nullity above the outer multiplicity
-    (exceptional couplings where every normal row vanishes or is
-    degenerate), the rows of every product label one SO(4) generator
-    step outside branch(g) are appended at once, and RankDefect is
-    raised if the nullity still does not match.
+    If the normal rows leave the nullity above the outer multiplicity,
+    the rows of every product label one SO(4) generator step outside
+    branch(g) are appended at once, and RankDefect is raised if the
+    nullity still does not match.  That happens for g x g -> (0,0) with
+    g != (0,0), 14 of the 1,716 couplings with R1,R2 <= 2: no label one
+    generator step from (0,0) lies in branch((0,0)), so they have no
+    normal rows.
     """
     D = outer_multiplicity(g1, g2, g)
     if D == 0:

@@ -61,10 +61,19 @@ def test_identity_coupling():
 
 
 def test_exceptional_coupling_needs_augmentation():
+    # the outside rows are appended exactly for g x g -> (0,0) with
+    # g != (0,0), whose one product label (0,0) has no normal rows
+    scalar = So5Irrep(0, 0)
+    labels = [So5Irrep(Fraction(tr, 2), Fraction(ts, 2))
+              for tr in range(3) for ts in range(tr + 1)]
+    for a in labels:
+        for b in labels:
+            for g in so5_kronecker(a, b):
+                assert (build_system(a, b, g).n_augmented > 0) == \
+                    (g == scalar and a != scalar), (a, b, g)
     g1 = So5Irrep(H, 0)
-    sys_ = build_system(g1, g1, So5Irrep(0, 0))
-    assert sys_.n_augmented > 0
-    blk = solve_isoscalars(g1, g1, So5Irrep(0, 0))
+    sys_ = build_system(g1, g1, scalar)
+    blk = solve_isoscalars(g1, g1, scalar)
     assert _vals(blk) == ["sqrt(1/2)", "sqrt(1/2)"]
     assert verify_block(blk, sys_) == []
 
