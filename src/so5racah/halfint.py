@@ -14,6 +14,18 @@ from functools import total_ordering
 _FLOAT_EXACT = 2 ** 53
 
 
+def _twice(x):
+    """2x as an int for a HalfInt, a non-bool int or a Fraction with
+    denominator 1 or 2; None for anything else."""
+    if isinstance(x, HalfInt):
+        return x.twice
+    if isinstance(x, int) and not isinstance(x, bool):
+        return 2 * x
+    if isinstance(x, Fraction) and x.denominator <= 2:
+        return x.numerator * (2 // x.denominator)
+    return None
+
+
 @total_ordering
 class HalfInt:
     """A value j with 2j integer, stored as ``twice = 2j``."""
@@ -30,17 +42,10 @@ class HalfInt:
     @staticmethod
     def make(x):
         """Coerce an int, Fraction, or HalfInt to a HalfInt."""
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, bool):
-            raise TypeError("cannot make a HalfInt from a bool")
-        if isinstance(x, int):
-            return HalfInt(2 * x)
+        t = _twice(x)
+        if t is not None:
+            return HalfInt(t)
         if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return HalfInt(2 * x.numerator)
-            if x.denominator == 2:
-                return HalfInt(x.numerator)
             raise ValueError("%s is not a half-integer" % x)
         raise TypeError("cannot make a HalfInt from %r" % (x,))
 
@@ -55,20 +60,10 @@ class HalfInt:
             return HalfInt.make(Fraction(num, den))
         return HalfInt.make(int(s))
 
-    # -- arithmetic (results are HalfInt; other is an int, a HalfInt or a
-    # Fraction whose double is an int)
-
-    def _twice_of(self, other):
-        if isinstance(other, HalfInt):
-            return other.twice
-        if isinstance(other, int) and not isinstance(other, bool):
-            return 2 * other
-        if isinstance(other, Fraction) and other.denominator <= 2:
-            return other.numerator * (2 // other.denominator)
-        return None
+    # -- arithmetic (results are HalfInt; other is anything _twice takes)
 
     def __add__(self, other):
-        t = self._twice_of(other)
+        t = _twice(other)
         if t is None:
             return NotImplemented
         return HalfInt(self.twice + t)
@@ -76,13 +71,13 @@ class HalfInt:
     __radd__ = __add__
 
     def __sub__(self, other):
-        t = self._twice_of(other)
+        t = _twice(other)
         if t is None:
             return NotImplemented
         return HalfInt(self.twice - t)
 
     def __rsub__(self, other):
-        t = self._twice_of(other)
+        t = _twice(other)
         if t is None:
             return NotImplemented
         return HalfInt(t - self.twice)
@@ -94,13 +89,13 @@ class HalfInt:
         return HalfInt(abs(self.twice))
 
     def __eq__(self, other):
-        t = self._twice_of(other)
+        t = _twice(other)
         if t is None:
             return NotImplemented
         return self.twice == t
 
     def __lt__(self, other):
-        t = self._twice_of(other)
+        t = _twice(other)
         if t is None:
             return NotImplemented
         return self.twice < t
@@ -182,8 +177,7 @@ def jrange(lo, hi_):
 
 def mrange(j):
     """Weights -j, -j+1, ..., +j."""
-    j = HalfInt.make(j)
-    return [HalfInt(t) for t in range(-j.twice, j.twice + 1, 2)]
+    return jrange(-j, j)
 
 
 def twices(*xs):

@@ -133,16 +133,11 @@ def build_system(g1, g2, g):
                        len(rels) - n_normal)
 
 
-class IsoscalarBlock:
-    """Solved, normalized reduced coupling coefficients for one coupling."""
+class IsoscalarBlock(namedtuple("IsoscalarBlock", "g1 g2 g columns vectors meta")):
+    """Solved, normalized reduced coupling coefficients for one coupling;
+    vectors[rho-1][i] is the Radical at columns[i]."""
 
-    def __init__(self, g1, g2, g, columns, vectors, meta):
-        self.g1 = g1
-        self.g2 = g2
-        self.g = g
-        self.columns = columns
-        self.vectors = vectors  # vectors[rho-1][i], Radical
-        self.meta = meta
+    __slots__ = ()
 
     @property
     def D(self):
@@ -161,21 +156,6 @@ def _group_slices(columns):
     for i, col in enumerate(columns):
         out.setdefault(col[-1], []).append(i)
     return out
-
-
-def _sign_positions(columns):
-    """Column indices in the Condon-Shortley scan order.
-
-    Primary position: highest-weight (X1Y1) and (XY) with the highest
-    consistent (X2Y2); the remaining positions follow in descending
-    weight order as the documented tie-break extension.
-    """
-    return sorted(
-        range(len(columns)),
-        key=lambda i: (columns[i][0].weight_key(),
-                       columns[i][2].weight_key(),
-                       columns[i][1].weight_key()),
-        reverse=True)
 
 
 def solve_isoscalars(g1, g2, g, system=None):
@@ -204,10 +184,15 @@ def solve_isoscalars(g1, g2, g, system=None):
     if D == 1:
         meta["norm2"] = first[0][0].rational()
 
-    scan = _sign_positions(columns)
-    primary = scan[0]
+    # Condon-Shortley scan key of a position: the weights of its (X1Y1),
+    # (XY) and (X2Y2).  A vector takes its sign at its highest nonzero
+    # position; one that is not the highest position overall is recorded
+    key = [(lam1.weight_key(), lam.weight_key(), lam2.weight_key())
+           for lam1, lam2, lam in columns].__getitem__
+    primary = max(range(len(columns)), key=key)
     for rho, v in enumerate(vectors):
-        pos = next((i for i in scan if not v[i].is_zero()), None)
+        pos = max((i for i, x in enumerate(v) if not x.is_zero()),
+                  key=key, default=None)
         if pos is None:
             raise InternalInconsistency("all-zero solution vector")
         if pos != primary:

@@ -13,7 +13,7 @@ Two total orders matter and they differ:
 """
 
 from .halfint import HalfInt, PairLabel, _tri2, mrange, trirange
-from .su2 import _usixj_t, su2_cg, su2_phi
+from .su2 import _phi_t, _usixj_t, su2_cg
 
 
 class So4Irrep(PairLabel):
@@ -39,7 +39,8 @@ class So4Irrep(PairLabel):
 
     def weights(self):
         """All (M_X, M_Y) pairs."""
-        return [(mx, my) for mx in mrange(self.X) for my in mrange(self.Y)]
+        mys = mrange(self.Y)
+        return [(mx, my) for mx in mrange(self.X) for my in mys]
 
 
 HALFHALF = So4Irrep(HalfInt(1), HalfInt(1))
@@ -72,4 +73,5 @@ def so4_usixj(g1, g2, g12, g3, g, g23):
 
 def so4_phi(g1, g2, g):
     """Interchange phase of the SO(4) coupling g1 x g2 -> g."""
-    return su2_phi(g1.X, g2.X, g.X) * su2_phi(g1.Y, g2.Y, g.Y)
+    return (_phi_t(g1.X.twice, g2.X.twice, g.X.twice)
+            * _phi_t(g1.Y.twice, g2.Y.twice, g.Y.twice))

@@ -125,9 +125,9 @@ def so5_kronecker(g1, g2):
             moves = (a < 0) + (b < 0) + (abs(a) < abs(b))
             a, b = sorted((abs(a), abs(b)), reverse=True)
             if a != b and b:
-                series[So5Irrep(HalfInt((a + b - 4) // 2),
-                                HalfInt((a - b - 2) // 2))] += sign_pow(moves)
-    return {g: d for g, d in sorted(series.items()) if d}
+                series[(a + b - 4) // 2, (a - b - 2) // 2] += sign_pow(moves)
+    return {So5Irrep(HalfInt(tR), HalfInt(tS)): d
+            for (tR, tS), d in sorted(series.items()) if d}
 
 
 # -- generator reduced matrix elements -------------------------------------
@@ -150,10 +150,11 @@ def generator_rmes(g):
     kets and bras in branch order.  Built once per irrep; callers share
     the table and must not change it.
 
-    An element is nonzero only when bra - ket is (+-1/2, +-1/2).  The two
-    raising forms are closed-form; the lowering ones follow from the
-    adjoint symmetry, so the nonzero pattern is symmetric and
-    table[lam] also lists the kets that reach the bra lam.
+    An element is nonzero exactly when bra - ket is (+-1/2, +-1/2), as
+    _rme_up shows for two labels of branch(g).  The two raising forms
+    are closed-form; the lowering ones follow from the adjoint
+    symmetry, so the nonzero pattern is symmetric and table[lam] also
+    lists the kets that reach the bra lam.
     """
     branch = so5_branch_so4(g)
     table = {}
@@ -165,15 +166,13 @@ def generator_rmes(g):
             if (abs(dx), abs(dy)) != (1, 1):
                 continue
             if dx == 1:
-                rme = _rme_up(g, ket, dy)
+                row[bra] = _rme_up(g, ket, dy)
             else:
                 # <bra||T||ket> = hat(ket)/hat(bra) (-1)^(dX+dY) <ket||T||bra>
                 ratio = Fraction((ket.X.twice + 1) * (ket.Y.twice + 1),
                                  (bra.X.twice + 1) * (bra.Y.twice + 1))
-                rme = sign_pow((dx + dy) // 2) * root_of_rational(1, ratio) \
+                row[bra] = sign_pow((dx + dy) // 2) * root_of_rational(1, ratio) \
                     * _rme_up(g, bra, -dy)
-            if not rme.is_zero():
-                row[bra] = rme
     return table
 
 

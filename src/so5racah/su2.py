@@ -120,9 +120,12 @@ def su2_usixj(j1, j2, j12, j3, j, j23):
     return _usixj_t(*twices(j1, j2, j12, j3, j, j23))
 
 
-def su2_phi(j1, j2, j):
-    """Interchange phase (-1)**(j1+j2-j) of the SU(2) coupling."""
-    t1, t2, t = twices(j1, j2, j)
+def _phi_t(t1, t2, t):
     if (t1 + t2 - t) % 2:
         raise ValueError("non-integral phase exponent")
     return sign_pow((t1 + t2 - t) // 2)
+
+
+def su2_phi(j1, j2, j):
+    """Interchange phase (-1)**(j1+j2-j) of the SU(2) coupling."""
+    return _phi_t(*twices(j1, j2, j))

@@ -47,30 +47,48 @@ def test_mult_and_dim_conservation():
                        for l, mu in _branch(g)) == g.dim
 
 
-def test_commutator_identities():
+def _irreps(tr_lo, tr_hi):
+    """Every So5Irrep with tr_lo <= 2R <= tr_hi."""
+    return [So5Irrep(HalfInt(tr), HalfInt(ts))
+            for tr in range(tr_lo, tr_hi + 1) for ts in range(tr + 1)]
+
+
+def _check_commutators(g):
     # the generator algebra closes with fixed structure constants; a
     # wrong normalization or phase in L or O breaks at least one of
     # these on some irrep; op_add drops zero entries, so a zero
     # operator is the empty matrix
-    for g in [So5Irrep(H, H), So5Irrep(1, 0)]:
-        ops = chain3_generator_matrices(g)
-        root2 = rs(Radical(Fraction(1), 2))
-        for q in (-1, 0, 1):
-            got = coupled_commutator(ops.L, 1, ops.L, 1, 1, q)
-            want = op_scale(-root2, ops.L[q])
-            assert op_add(got, op_scale(-1, want)) == {}, ("LL", g, q)
-        for q in range(-3, 4):
-            got = coupled_commutator(ops.L, 1, ops.O, 3, 3, q)
-            want = op_scale(-2 * rs(Radical(Fraction(1), 3)), ops.O[q])
-            assert op_add(got, op_scale(-1, want)) == {}, ("LO", g, q)
-        for q in (-1, 0, 1):
-            got = coupled_commutator(ops.O, 3, ops.O, 3, 1, q)
-            want = op_scale(-2 * rs(Radical(Fraction(1), 7)), ops.L[q])
-            assert op_add(got, op_scale(-1, want)) == {}, ("OO1", g, q)
-        for q in range(-3, 4):
-            got = coupled_commutator(ops.O, 3, ops.O, 3, 3, q)
-            want = op_scale(rs(Radical(Fraction(1), 6)), ops.O[q])
-            assert op_add(got, op_scale(-1, want)) == {}, ("OO3", g, q)
+    ops = chain3_generator_matrices(g)
+    root2 = rs(Radical(Fraction(1), 2))
+    for q in (-1, 0, 1):
+        got = coupled_commutator(ops.L, 1, ops.L, 1, 1, q)
+        want = op_scale(-root2, ops.L[q])
+        assert op_add(got, op_scale(-1, want)) == {}, ("LL", g, q)
+    for q in range(-3, 4):
+        got = coupled_commutator(ops.L, 1, ops.O, 3, 3, q)
+        want = op_scale(-2 * rs(Radical(Fraction(1), 3)), ops.O[q])
+        assert op_add(got, op_scale(-1, want)) == {}, ("LO", g, q)
+    for q in (-1, 0, 1):
+        got = coupled_commutator(ops.O, 3, ops.O, 3, 1, q)
+        want = op_scale(-2 * rs(Radical(Fraction(1), 7)), ops.L[q])
+        assert op_add(got, op_scale(-1, want)) == {}, ("OO1", g, q)
+    for q in range(-3, 4):
+        got = coupled_commutator(ops.O, 3, ops.O, 3, 3, q)
+        want = op_scale(rs(Radical(Fraction(1), 6)), ops.O[q])
+        assert op_add(got, op_scale(-1, want)) == {}, ("OO3", g, q)
+
+
+def test_commutator_identities():
+    # the generator matrices close the so(5) algebra on every irrep
+    # with 0 < R <= 2
+    for g in _irreps(1, 4):
+        _check_commutators(g)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("g", _irreps(5, 6), ids=str)
+def test_commutator_identities_to_r3(g):
+    _check_commutators(g)
 
 
 def test_lsquared_trace():

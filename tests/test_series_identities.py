@@ -173,14 +173,25 @@ def _series_groups(g1, g2):
     return groups
 
 
-def test_chain_tables_are_complete_over_the_series():
+def _complete_groups(tr_max):
+    """Check every group of every g1 x g2 with 2R1, 2R2 <= tr_max and
+    return how many there were."""
     n = 0
-    for g1 in _irreps(0, 2):
-        for g2 in _irreps(0, 2):
+    for g1 in _irreps(0, tr_max):
+        for g2 in _irreps(0, tr_max):
             for key, rows in _series_groups(g1, g2).items():
                 cols = sorted({c for row in rows.values() for c in row})
                 assert len(rows) == len(cols), (g1, g2, key)
                 assert off_identity([[row.get(c, RS_ZERO) for c in cols]
                                      for row in rows.values()]) == [], (g1, g2, key)
                 n += 1
-    assert n == 548
+    return n
+
+
+def test_chain_tables_are_complete_over_the_series():
+    assert _complete_groups(2) == 548
+
+
+@pytest.mark.slow
+def test_chain_tables_are_complete_to_r3_2():
+    assert _complete_groups(3) == 2748

@@ -269,17 +269,22 @@ def test_rme_adjoint_symmetry():
 
 def test_rme_table_is_shared_sparse_and_in_branch_order():
     # the Racah rows and the generator matrices visit the table in its
-    # order, so it must follow the branching
-    g = So5Irrep(Fraction(3, 2), 1)
-    table = generator_rmes(g)
-    assert generator_rmes(So5Irrep(Fraction(3, 2), 1)) is table
-    branch = so5_branch_so4(g)
-    assert list(table) == branch
-    for ket, row in table.items():
-        assert list(row) == [bra for bra in branch if bra in row]
-        for bra, rme in row.items():
-            assert not rme.is_zero()
-            assert abs(bra.X.twice - ket.X.twice) == 1 == abs(bra.Y.twice - ket.Y.twice)
+    # order, so it must follow the branching; generator_rmes keeps no
+    # zero filter, so every in-branch neighbour must have a nonzero RME
+    assert generator_rmes(So5Irrep(Fraction(3, 2), 1)) \
+        is generator_rmes(So5Irrep(Fraction(3, 2), 1))
+    for tr in range(9):
+        for ts in range(tr + 1):
+            g = So5Irrep(HalfInt(tr), HalfInt(ts))
+            table = generator_rmes(g)
+            branch = so5_branch_so4(g)
+            assert list(table) == branch
+            for ket, row in table.items():
+                assert list(row) == [
+                    bra for bra in branch
+                    if abs(bra.X.twice - ket.X.twice) == 1 == abs(bra.Y.twice - ket.Y.twice)
+                ], (g, ket)
+                assert not any(rme.is_zero() for rme in row.values()), (g, ket)
 
 
 def test_rme_branching_violation():

@@ -17,8 +17,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "so5racah"
 
 KEPT = {
-    "coupled_commutator": "its commutator tests are the only oracle for "
-                          "chains.primitive",
+    "coupled_commutator": "its commutator tests check that the generator "
+                          "matrices close the so(5) algebra",
     "chain2_tmax": "closed-form isospin branching, the oracle of the counted "
                    "branching in chains",
     "chain2_mult": "closed-form isospin multiplicity, the oracle of the counted "
