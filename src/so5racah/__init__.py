@@ -10,7 +10,7 @@ rationals extended by square roots.
 __version__ = "0.1.0"
 
 from .halfint import HalfInt, hi
-from .exact import Radical, canonicalize, parse_value, render_value
+from .exact import Radical, parse_value, render_value
 from .so4 import So4Irrep
 from .so5 import So5Irrep
 from .racah import solve_isoscalars

@@ -25,7 +25,7 @@ from operator import add
 from types import MappingProxyType
 
 from .errors import InternalInconsistency, LadderNullUnexpected
-from .exact import RS_ONE, RS_ZERO, root_of_rational, rs
+from .exact import RS_ONE, RS_ZERO, Radical, rs
 from .halfint import HalfInt, _tri2
 from .linalg import off_identity
 from .so4 import HALFHALF
@@ -150,7 +150,7 @@ def primitive(g, basis, name):
             continue
         p = ((jj.twice - d * m.twice) // 2) * ((jj.twice + d * m.twice) // 2 + 1)
         if p > 0:
-            mat[j] = {j + d * stride: root_of_rational(1, p)}
+            mat[j] = {j + d * stride: Radical(1, p)}
     return mat
 
 
@@ -224,8 +224,7 @@ def ladder(basis, level, lower):
                     raise LadderNullUnexpected(
                         "lowering annihilated (j=%s k=%d) at m=%s, sector %s"
                         % (j, k, m, sector))
-                scale = root_of_rational(
-                    1, Fraction((j.twice + tm + 2) * (j.twice - tm), 4))
+                scale = Radical(1, Fraction((j.twice + tm + 2) * (j.twice - tm), 4))
                 stepped.append((j, k, {i: v / scale for i, v in new.items()}))
             live = stepped
             mu = mus.get(sector + (m,), 0)
@@ -239,7 +238,7 @@ def ladder(basis, level, lower):
                         _axpy(resid, -vec[cand], vec)
                 if not resid:
                     continue
-                scale = root_of_rational(1, _dot(resid.items(), resid).rational())
+                scale = Radical(1, _dot(resid.items(), resid).rational())
                 added += 1
                 live.append((m, added, {i: v / scale for i, v in resid.items()}))
             if len(live) != len(members):

@@ -15,11 +15,13 @@ two terms is ever built, and nothing falls back to one.
 
 Coefficients are stored as reduced pairs of plain ints: den > 0 and
 gcd(num, den) = 1, zero being (0, 1, 1), and the radicand squarefree
->= 1.  The arithmetic reduces each pair with math.gcd where it is made,
-so no Fraction is built per field operation and equal values have
-equal stores and hash alike.  Fractions appear only at the boundary:
+>= 1.  ``Radical(c, q)``, the one constructor, stores c*sqrt(q) in that
+form for an int or Fraction c and q >= 0: Radical(1, 45) is 3*sqrt(5).
+The arithmetic reduces each pair with math.gcd where it is made, so no
+Fraction is built per field operation, and equal values have equal
+stores and hash alike.  Fractions appear only at the boundary:
 ``Radical.coeff``, ``rational()``, ``square()`` and ``decimal``;
-constructors and scalar operands take ints or Fractions.
+scalar operands take ints or Fractions.
 
 The canonical text form renders a value as a signed square root of a
 single rational, e.g. -(2/5)*sqrt(5) prints as ``-sqrt(4/5)``.
@@ -72,11 +74,6 @@ def _pair(q):
     return None
 
 
-def _rational_pair(q):
-    """(num, den) of any value Fraction accepts."""
-    return _pair(q) or _pair(Fraction(q))
-
-
 _new = object.__new__
 
 
@@ -95,9 +92,13 @@ class Radical:
     __slots__ = ("num", "den", "rad")
 
     def __init__(self, coeff, rad):
-        # Assumes canonical input; use canonicalize() on raw data.
-        self.num, self.den = _rational_pair(coeff)
-        self.rad = rad
+        c, q = _pair(coeff), _pair(rad)
+        if c is None or q is None:
+            raise TypeError("Radical takes ints and Fractions, not %r, %r" % (coeff, rad))
+        if q[0] < 0:
+            raise ValueError("negative radicand %s" % rad)
+        # c*sqrt(qn/qd) = (c/qd)*sqrt(qn*qd)
+        self.num, self.den, self.rad = _canonical(c[0], c[1] * q[1], q[0] * q[1])
 
     @property
     def coeff(self):
@@ -247,36 +248,13 @@ def rs(x):
 
 
 def _canonical(num, den, r, bound=None):
-    """Canonical Radical for (num/den)*sqrt(r), den > 0, r >= 0."""
-    if r < 0:
-        raise ValueError("negative radicand %s" % r)
+    """Reduced (num, den, rad) of (num/den)*sqrt(r), den > 0, r >= 0."""
     if r == 0 or num == 0:
-        return RS_ZERO
+        return 0, 1, 1
     sq, rad = _square_split(r, bound)
     num *= sq
     k = gcd(num, den)
-    return _radical(num // k, den // k, rad)
-
-
-def canonicalize(c, r):
-    """Canonical Radical for c*sqrt(r), c rational, r integer >= 0.
-
-    Pulls the square part of r into the coefficient, e.g.
-    canonicalize(1, 45) = 3*sqrt(5).  See root_of_rational for the
-    rational-radicand front end.
-    """
-    num, den = _rational_pair(c)
-    return _canonical(num, den, r)
-
-
-def root_of_rational(c, q):
-    """Canonical Radical for c*sqrt(q) with q rational >= 0."""
-    qn, qd = _rational_pair(q)
-    if qn < 0:
-        raise ValueError("negative radicand %s" % Fraction(qn, qd))
-    # c*sqrt(qn/qd) = (c/qd)*sqrt(qn*qd)
-    num, den = _rational_pair(c)
-    return _canonical(num, den * qd, qn * qd)
+    return num // k, den // k, rad
 
 
 # -- canonical text form ---------------------------------------------------
@@ -326,5 +304,5 @@ def parse_value(s):
         raise ValueError("zero denominator in %r" % s)
     if root:
         # sign*sqrt(num/den) = (sign/den)*sqrt(num*den)
-        return _canonical(sign, den, num * den, 2 ** 16)
-    return _canonical(sign * num, den, 1)
+        return _radical(*_canonical(sign, den, num * den, 2 ** 16))
+    return _radical(*_canonical(sign * num, den, 1))

@@ -41,7 +41,9 @@ class HalfInt:
 
     @staticmethod
     def make(x):
-        """Coerce an int, Fraction, or HalfInt to a HalfInt."""
+        """Coerce an int, Fraction, or HalfInt (returned as is) to a HalfInt."""
+        if isinstance(x, HalfInt):
+            return x
         t = _twice(x)
         if t is not None:
             return HalfInt(t)

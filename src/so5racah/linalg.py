@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DegenerateForm, InternalInconsistency, NotFactorable
-from .exact import RS_ONE, RS_ZERO, Radical, root_of_rational
+from .exact import RS_ONE, RS_ZERO, Radical, _radical
 
 
 class ExactMatrix:
@@ -56,7 +56,8 @@ class ExactMatrix:
             return self._rref
         q, b = _factor(self.entries, self.ncols)
         rows, pivots = _rref_exact(q, self.ncols)
-        red = [{f: Radical(x, b[f]) * Radical(Fraction(1, b[p]), b[p])
+        # the classes b are squarefree, so the rows need no square split
+        red = [{f: _radical(x.numerator, x.denominator, b[f]) * _radical(1, b[p], b[p])
                 for f, x in row.items()} for row, p in zip(rows, pivots)]
         self._rref = (red, pivots)
         return self._rref
@@ -310,6 +311,6 @@ def gram_schmidt(vectors, idxs):
         q = vec_dot(u, u, idxs).rational()
         if q <= 0:
             raise DegenerateForm("squared norm %s is not positive" % q)
-        inv_norm = root_of_rational(1, 1 / q)
+        inv_norm = Radical(1, 1 / q)
         out.append([x * inv_norm for x in u])
     return out

@@ -144,6 +144,8 @@ class IsoscalarBlock(namedtuple("IsoscalarBlock", "g1 g2 g columns vectors meta"
         return len(self.vectors)
 
     def value(self, lam1, lam2, lam, rho=1):
+        if not 1 <= rho <= len(self.vectors):
+            raise IndexError("rho %r is outside 1..%d" % (rho, len(self.vectors)))
         col = (lam1, lam2, lam)
         if col not in self.columns:
             return RS_ZERO

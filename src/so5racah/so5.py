@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BranchingViolation, OutOfRange
-from .exact import RS_ZERO, root_of_rational
+from .exact import RS_ZERO, Radical
 from .halfint import HalfInt, PairLabel, sign_pow
 from .so4 import So4Irrep
 
@@ -171,7 +171,7 @@ def generator_rmes(g):
                 # <bra||T||ket> = hat(ket)/hat(bra) (-1)^(dX+dY) <ket||T||bra>
                 ratio = Fraction((ket.X.twice + 1) * (ket.Y.twice + 1),
                                  (bra.X.twice + 1) * (bra.Y.twice + 1))
-                row[bra] = sign_pow((dx + dy) // 2) * root_of_rational(1, ratio) \
+                row[bra] = sign_pow((dx + dy) // 2) * Radical(1, ratio) \
                     * _rme_up(g, bra, -dy)
     return table
 
@@ -190,4 +190,4 @@ def _rme_up(g, ket, dy):
         num = ((tR + tS - tX + tY + 2) * (tR + tS + tX - tY + 4)
                * (tR - tS - tX + tY) * (tR - tS + tX - tY + 2))
         den = 64 * (tX + 2) * tY
-    return root_of_rational(1, Fraction(num, den))
+    return Radical(1, Fraction(num, den))

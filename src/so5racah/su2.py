@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import RS_ZERO, root_of_rational
+from .exact import RS_ZERO, Radical
 from .halfint import _tri2, sign_pow, twices
 
 
@@ -59,7 +59,7 @@ def _cg_t(tj1, tm1, tj2, tm2, tj, tm):
             * _fac2(tj - tj1 - tm2 + 2 * k)
         )
         total += Fraction(sign_pow(k), den)
-    return root_of_rational(total, pref2)
+    return Radical(total, pref2)
 
 
 def su2_cg(j1, m1, j2, m2, j, m):
@@ -92,7 +92,7 @@ def _sixj_t(tj1, tj2, tj3, tj4, tj5, tj6):
             * _fac2(tj3 + tj1 + tj6 + tj4 - tt)
         )
         total += Fraction(num, den)
-    return root_of_rational(total, pref2)
+    return Radical(total, pref2)
 
 
 def su2_sixj(j1, j2, j3, j4, j5, j6):
@@ -106,7 +106,7 @@ def _usixj_t(tj1, tj2, tj12, tj3, tj, tj23):
     if six.is_zero():
         return RS_ZERO
     sign = sign_pow((tj1 + tj2 + tj3 + tj) // 2)
-    hat = root_of_rational(sign, (tj12 + 1) * (tj23 + 1))
+    hat = Radical(sign, (tj12 + 1) * (tj23 + 1))
     return hat * six
 
 

@@ -1,13 +1,12 @@
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from so5racah.errors import NotFactorable
-from so5racah.exact import RS_ONE, RS_ZERO, Radical, canonicalize, parse_value, \
-    render_value, root_of_rational, rs
+from so5racah.exact import RS_ONE, RS_ZERO, Radical, parse_value, render_value, rs
 
 try:
     import sympy
@@ -18,23 +17,50 @@ needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
 
 def test_canonicalize_pulls_square_part():
-    assert canonicalize(1, 45) == Radical(Fraction(3), 5)
-    assert canonicalize(1, 8) == Radical(Fraction(2), 2)
-    assert canonicalize(Fraction(1, 2), 12) == Radical(Fraction(1), 3)
-    assert canonicalize(5, 1) == Radical(Fraction(5), 1)
-    assert canonicalize(0, 7) == RS_ZERO
-    assert canonicalize(3, 0) == RS_ZERO
+    assert Radical(1, 45) == Radical(Fraction(3), 5)
+    assert Radical(1, 8) == Radical(Fraction(2), 2)
+    assert Radical(Fraction(1, 2), 12) == Radical(Fraction(1), 3)
+    assert Radical(5, 1) == Radical(Fraction(5), 1)
+    assert Radical(0, 7) == RS_ZERO
+    assert Radical(3, 0) == RS_ZERO
     with pytest.raises(ValueError):
-        canonicalize(1, -4)
+        Radical(1, -4)
 
 
 def test_root_of_rational():
     # sqrt(8/9) = (2/3) sqrt(2)
-    assert root_of_rational(1, Fraction(8, 9)) == Radical(Fraction(2, 3), 2)
+    assert Radical(1, Fraction(8, 9)) == Radical(Fraction(2, 3), 2)
     # sqrt(45/32) = (3/8) sqrt(10)
-    assert root_of_rational(1, Fraction(45, 32)) == Radical(Fraction(3, 8), 10)
-    assert root_of_rational(2, Fraction(1, 4)) == Radical(Fraction(1), 1)
-    assert root_of_rational(1, 0) == RS_ZERO
+    assert Radical(1, Fraction(45, 32)) == Radical(Fraction(3, 8), 10)
+    assert Radical(2, Fraction(1, 4)) == Radical(Fraction(1), 1)
+    assert Radical(1, 0) == RS_ZERO
+
+
+def test_constructor_stores_the_canonical_form():
+    # one value, one store: 2*sqrt(12) and 4*sqrt(3) are both sqrt(48)
+    assert (Radical(2, 12).num, Radical(2, 12).den, Radical(2, 12).rad) == (4, 1, 3)
+    assert Radical(2, 12) == Radical(4, 3) and hash(Radical(2, 12)) == hash(Radical(4, 3))
+    # a perfect-square radicand gives the rational it equals
+    assert Radical(1, 4) == 2 and hash(Radical(1, 4)) == hash(2)
+    assert Radical(1, 4).is_rational() and Radical(1, 4).rational() == 2
+    assert Radical(1, 0).is_zero() and Radical(1, 0) == 0 and Radical(1, 0).rad == 1
+    assert (Radical(Fraction(-3, 4), Fraction(8, 9)).num,
+            Radical(Fraction(-3, 4), Fraction(8, 9)).den) == (-1, 2)
+
+
+@pytest.mark.parametrize("coeff, rad, error, message", [
+    (1, -2, ValueError, "negative radicand -2$"),
+    (0, Fraction(-1, 3), ValueError, "negative radicand -1/3$"),
+    (0.1, 2, TypeError, "ints and Fractions"),
+    ("1/3", 5, TypeError, "ints and Fractions"),
+    (1, 2.0, TypeError, "ints and Fractions"),
+    (1, None, TypeError, "ints and Fractions"),
+], ids=["negative", "negative-zero-coeff", "float-coeff", "str-coeff", "float-radicand",
+        "none-radicand"])
+def test_constructor_takes_ints_and_fractions_only(coeff, rad, error, message):
+    # floats appear only in --format float, never inside a value
+    with pytest.raises(error, match=message):
+        Radical(coeff, rad)
 
 
 def test_radical_product_collapses_common_factor():
@@ -77,7 +103,7 @@ def test_mixed_class_sum_is_not_factorable():
 
 def test_products_cancel_exactly():
     # sqrt(6) sqrt(2/3) = 2: the radicand cancels to 1
-    p = Radical(Fraction(1), 6) * root_of_rational(1, Fraction(2, 3))
+    p = Radical(Fraction(1), 6) * Radical(1, Fraction(2, 3))
     assert p == 2 and p.rad == 1 and p.is_rational()
     x = Radical(Fraction(3, 7), 30)
     assert x + (-x) == RS_ZERO and (x + (-x)).rad == 1
@@ -142,7 +168,7 @@ def test_parse_splits_a_large_prime_radicand_quickly():
 def test_parse_takes_the_square_root_of_a_large_square_leftover():
     # 65537 is the first prime past 2**16, so its square is the leftover
     n = 65537**2 * 12
-    assert parse_value("sqrt(%d)" % n) == canonicalize(1, n) \
+    assert parse_value("sqrt(%d)" % n) == Radical(1, n) \
         == Radical(2 * 65537, 3)
 
 
@@ -155,7 +181,7 @@ def test_rational_radical_hashes_as_the_number_it_equals(x):
 
 def test_irrational_radical_hash_matches_equal_radicals():
     x = Radical(Fraction(1, 2), 2)
-    assert {x: "v"}.get(root_of_rational(1, Fraction(1, 2))) == "v"
+    assert {x: "v"}.get(Radical(1, Fraction(1, 2))) == "v"
     assert len({x, -x, rs(Fraction(1, 2))}) == 3
 
 
@@ -170,7 +196,7 @@ def test_parse_zero_denominator_is_malformed(s):
     (lambda: parse_value(""), "cannot parse value ''"),
     (lambda: parse_value("sqrt(1) sqrt(2)"), "cannot parse value"),
     (lambda: rs(1).decimal(0), "digits must be in 1..30"),
-    (lambda: root_of_rational(1, Fraction(-1, 2)), "negative radicand -1/2$"),
+    (lambda: Radical(1, Fraction(-1, 2)), "negative radicand -1/2$"),
     (lambda: rs(Radical(1, 2)).rational(), "is not rational"),
     # 65537 * 65539 * 65543 > 2**48 might hold a square factor that trial
     # division up to 2**16 cannot see
@@ -199,19 +225,19 @@ radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30, 105])
 
 
 def radicals(coeffs=fractions):
-    return st.builds(canonicalize, coeffs, radicands)
+    return st.builds(Radical, coeffs, radicands)
 
 
 def one_class(n, coeffs=fractions):
     """n radicals sharing one radicand (zeros aside)."""
     return radicands.flatmap(lambda r: st.lists(
-        coeffs.map(lambda c: canonicalize(c, r)), min_size=n, max_size=n))
+        coeffs.map(lambda c: Radical(c, r)), min_size=n, max_size=n))
 
 
 def _assert_canonical(x):
     assert type(x.num) is int and type(x.den) is int
     assert x.den > 0 and gcd(x.num, x.den) == 1, (x.num, x.den)
-    assert canonicalize(1, x.rad).rad == x.rad  # squarefree
+    assert Radical(1, x.rad).rad == x.rad  # squarefree
     assert x.num or x.rad == 1  # zero is (0, 1, 1)
 
 
@@ -260,11 +286,47 @@ def test_mixed_class_sums_raise(x, y):
             op()
 
 
+# -- the constructor on raw input -------------------------------------------
+
+# radicands >= 0: integers with square factors, bare integers and fractions
+raw_radicands = st.one_of(
+    st.builds(lambda s, r: s * s * r, st.integers(1, 40), st.integers(0, 60)),
+    st.integers(0, 5000),
+    st.fractions(min_value=0, max_value=200, max_denominator=100),
+)
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, isqrt(n) + 1))
+
+
+@given(wide_fractions, raw_radicands)
+def test_constructor_canonical_on_raw_input(c, q):
+    x = Radical(c, q)
+    assert type(x.num) is int and type(x.den) is int and type(x.rad) is int
+    assert x.den > 0 and gcd(x.num, x.den) == 1 and _squarefree(x.rad)
+    assert x.num or (x.den, x.rad) == (1, 1)
+    assert x.square() == c * abs(c) * q
+
+
+@given(wide_fractions, raw_radicands, st.integers(1, 12))
+def test_constructor_moves_square_factors_freely(c, q, k):
+    x, y = Radical(c * k, Fraction(q) / k ** 2), Radical(c, q)
+    assert x == y and hash(x) == hash(y)
+    assert (x.num, x.den, x.rad) == (y.num, y.den, y.rad)
+
+
+@given(wide_fractions, raw_radicands)
+def test_constructor_round_trips_through_text(c, q):
+    x = Radical(c, q)
+    assert parse_value(render_value(x)) == x
+
+
 # -- the integer-pair kernel against a Fraction reference -------------------
 #
 # The reference keeps a value as a Fraction coefficient and a squarefree
 # radicand and does its own Fraction arithmetic; a product radicand is
-# re-factored anew with canonicalize.  The kernel under test keeps
+# re-factored anew with Radical.  The kernel under test keeps
 # reduced integer pairs and never builds a Fraction per operation.
 
 def _assert_matches(x, coeff, rad):
@@ -276,7 +338,7 @@ def _assert_matches(x, coeff, rad):
 @given(radicands, wide_fractions, wide_fractions)
 @settings(deadline=None)
 def test_kernel_ring_ops_match_reference(r, a, b):
-    x, y = canonicalize(a, r), canonicalize(b, r)
+    x, y = Radical(a, r), Radical(b, r)
     _assert_matches(x + y, a + b, r)
     _assert_matches(x - y, a - b, r)
     _assert_matches(-x, -a, r)
@@ -289,7 +351,7 @@ def test_kernel_ring_ops_match_reference(r, a, b):
 @given(radicals(wide_fractions), wide_fractions.filter(bool), radicands)
 @settings(deadline=None)
 def test_kernel_division_matches_reference(x, c, r):
-    want = canonicalize(x.coeff / (c * r), x.rad * r)
+    want = Radical(x.coeff / (c * r), x.rad * r)
     _assert_matches(x / Radical(c, r), want.coeff, want.rad)
     _assert_matches(x / c, x.coeff / c, x.rad)
 
@@ -297,11 +359,11 @@ def test_kernel_division_matches_reference(x, c, r):
 @given(wide_fractions, radicands, wide_fractions, radicands)
 def test_kernel_radical_product_matches_reference(c1, r1, c2, r2):
     p = Radical(c1, r1) * Radical(c2, r2)
-    want = canonicalize(c1 * c2, r1 * r2)
+    want = Radical(c1 * c2, r1 * r2)
     assert p == want and hash(p) == hash(want)
     assert p.den > 0 and gcd(p.num, p.den) == 1
     assert p.coeff == want.coeff and type(p.coeff) is Fraction
-    assert Radical(c1, r1) * c2 == canonicalize(c1 * c2, r1)
+    assert Radical(c1, r1) * c2 == Radical(c1 * c2, r1)
 
 
 @given(radicands, st.lists(wide_fractions, max_size=6), st.randoms())
@@ -311,12 +373,12 @@ def test_kernel_order_independent(r, coeffs, rnd):
     # both factor orders, is equal, hashes alike and has one store
     forward = RS_ZERO
     for c in coeffs:
-        forward = forward + canonicalize(c, r)
+        forward = forward + Radical(c, r)
     shuffled = list(coeffs)
     rnd.shuffle(shuffled)
     backward = RS_ZERO
     for c in shuffled:
-        backward = canonicalize(c, r) + backward
+        backward = Radical(c, r) + backward
     assert forward == backward and hash(forward) == hash(backward)
     assert (forward.num, forward.den, forward.rad) == \
         (backward.num, backward.den, backward.rad)

@@ -25,6 +25,12 @@ def test_make_and_parse():
         hi(0.5)
 
 
+
+def test_make_returns_a_halfint_as_is():
+    # labels built from HalfInts share them rather than copy each one
+    h = HalfInt(3)
+    assert HalfInt.make(h) is h and hi(h) is h
+
 def test_parse_rejects_zero_denominator():
     # a ValueError, which the CLI reports as a usage error
     with pytest.raises(ValueError, match="zero denominator"):

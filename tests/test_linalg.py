@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from so5racah.errors import DegenerateForm, InternalInconsistency, NotFactorable
-from so5racah.exact import RS_ONE, RS_ZERO, Radical, canonicalize, root_of_rational, rs
+from so5racah.exact import RS_ONE, RS_ZERO, Radical, rs
 from so5racah.halfint import HalfInt
 from so5racah import linalg
 from so5racah.linalg import (ExactMatrix, _factor, _rref_exact, _rref_mod,
@@ -107,7 +107,7 @@ def _random_factored(rng, nr, nc):
     entries zero, a_i and b_j squarefree."""
     a = [rng.choice([1, 2, 3, 5]) for _ in range(nr)]
     b = [rng.choice([1, 2, 3, 5]) for _ in range(nc)]
-    return [[rs(canonicalize(rng.randint(0, 1) * rng.randint(-3, 3), a[i] * b[j]))
+    return [[rs(Radical(rng.randint(0, 1) * rng.randint(-3, 3), a[i] * b[j]))
              for j in range(nc)] for i in range(nr)]
 
 
@@ -170,7 +170,7 @@ def test_racah_systems_are_sparse_single_radicals(racah_systems):
                                for x in row.values()), (g1, g2, g)
             assert all(0 <= j < m.ncols for j in row)
         dense = _dense(m)
-        rand = [canonicalize(rng.randint(-3, 3), b)
+        rand = [Radical(rng.randint(-3, 3), b)
                 for b in _factor(m.entries, m.ncols)[1]]
         for v in m.nullspace() + [rand]:
             assert m.matvec(v) == [vec_dot(row, v) for row in dense], (g1, g2, g)
@@ -238,14 +238,14 @@ def test_rref_matches_sympy_on_planted_rank(case):
     # of RREF(M) is row i of RREF(Q) times sqrt(rb_f / rb_p)
     r, ra, rb, rows = case
     nc = len(rows[0])
-    m = ExactMatrix([{j: canonicalize(x, ra[i] * rb[j])
+    m = ExactMatrix([{j: Radical(x, ra[i] * rb[j])
                       for j, x in enumerate(row) if x}
                      for i, row in enumerate(rows)], nc)
     want_rows, want_pivots = _sympy_rref([dict(enumerate(row)) for row in rows], nc)
     red, pivots = m.rref()
     assert pivots == want_pivots and len(pivots) <= r
     for row, p, dense in zip(red, pivots, want_rows):
-        assert row == {f: root_of_rational(x, Fraction(rb[f], rb[p]))
+        assert row == {f: Radical(x, Fraction(rb[f], rb[p]))
                        for f, x in enumerate(dense) if x}
 
 

@@ -10,7 +10,7 @@ and the diagonals from m.
 import pytest
 
 from so5racah.chains import primitive, weight_basis
-from so5racah.exact import RS_ZERO, root_of_rational, rs
+from so5racah.exact import RS_ZERO, Radical, rs
 from so5racah.halfint import HalfInt
 from so5racah.so4 import HALFHALF, so4_cg
 from so5racah.so5 import So5Irrep, generator_rmes
@@ -41,7 +41,7 @@ def _expected(g, name, state, target):
     if mp != m + d:
         return RS_ZERO
     jf, mf = j.as_fraction(), m.as_fraction()
-    return root_of_rational(1, (jf - d * mf) * (jf + d * mf + 1))
+    return Radical(1, (jf - d * mf) * (jf + d * mf + 1))
 
 
 @pytest.mark.parametrize("g", IRREPS, ids=str)

@@ -28,6 +28,20 @@ def test_outer_multiplicity():
     assert outer_multiplicity(So5Irrep(H, 0), So5Irrep(H, 0), So5Irrep(1, 1)) == 0
 
 
+
+def test_block_value_checks_rho_before_the_column():
+    # rho counts the D channels from 1; rho = 0 or a negative rho must not
+    # index the vectors from the end, and an absent column must not hide it
+    blk = solve_isoscalars(So5Irrep(1, 0), So5Irrep(1, H), So5Irrep(1, H))
+    assert blk.D == 2
+    col, absent = blk.columns[0], (So4Irrep(5, 5),) * 3
+    assert blk.value(*col) == blk.vectors[0][0]
+    assert blk.value(*col, rho=2) == blk.vectors[1][0]
+    assert blk.value(*absent, rho=2) == RS_ZERO
+    for rho in (0, -1, 3):
+        for lams in (col, absent):
+            with pytest.raises(IndexError, match="outside 1..2"):
+                blk.value(*lams, rho=rho)
 def test_columns_in_series_order():
     cols = enumerate_columns(So5Irrep(H, H), So5Irrep(H, 0), So5Irrep(H, 0))
     assert [tuple(str(x) for x in c) for c in cols] == [

@@ -36,7 +36,7 @@ from functools import lru_cache
 import pytest
 
 from so5racah.angmom import chain3_transform
-from so5racah.exact import RS_ZERO, root_of_rational
+from so5racah.exact import RS_ZERO, Radical
 from so5racah.halfint import HalfInt
 from so5racah.isospin import chain2_transform
 from so5racah.linalg import off_identity, vec_dot
@@ -71,7 +71,7 @@ def _generator_vector(g, columns):
             w.append(RS_ZERO)
         else:
             j = lam.X if kappa == X_GEN else lam.Y
-            w.append(root_of_rational(1, j.as_fraction() * (j.as_fraction() + 1)))
+            w.append(Radical(1, j.as_fraction() * (j.as_fraction() + 1)))
     return w
 
 
@@ -142,14 +142,14 @@ def test_physical_wigner_eckart(g):
         if (r.ms2, r.k2, r.t2) == (0, 1, 1):
             n += 1
             t = r.t.as_fraction()
-            want = (root_of_rational(-1, half * t * (t + 1))
+            want = (Radical(-1, half * t * (t + 1))
                     if (r.ms1, r.k1, r.t1) == (r.ms, r.k, r.t) else RS_ZERO)
             assert _contract(a, r.values) == want, r
     for r in chain3_transform(blk):
         if (r.a2, r.l2) == (1, 1):
             n += 1
             l = r.l.as_fraction()
-            want = (root_of_rational(-1, tenth * l * (l + 1))
+            want = (Radical(-1, tenth * l * (l + 1))
                     if (r.a1, r.l1) == (r.a, r.l) else RS_ZERO)
             assert _contract(a, r.values) == want, r
     assert n

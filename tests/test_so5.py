@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from so5racah.errors import BranchingViolation, OutOfRange
-from so5racah.exact import RS_ZERO, Radical, root_of_rational, rs
+from so5racah.exact import RS_ZERO, Radical, rs
 from so5racah.halfint import HalfInt, hi
 from so5racah.so4 import So4Irrep, so4_kronecker
 from so5racah.so5 import SCHEMES, So5Irrep, convert_label, generator_rme, \
@@ -225,7 +225,7 @@ def test_rme_frozen_vector_irrep():
     g = So5Irrep(H, H)
     hh = So4Irrep(H, H)
     sc = So4Irrep(0, 0)
-    assert generator_rme(g, hh, sc) == root_of_rational(1, H)
+    assert generator_rme(g, hh, sc) == Radical(1, H)
     # adjoint partner: -hat(1/2,1/2)/hat(0,0) * sqrt(1/2) = -sqrt(2)
     assert generator_rme(g, sc, hh) == Radical(Fraction(-1), 2)
     assert generator_rme(g, hh, hh) == RS_ZERO
@@ -236,11 +236,11 @@ def test_rme_frozen_sixteen_dim():
     lam = {s: So4Irrep.parse(s) for s in
            ["(0,1/2)", "(1/2,0)", "(1/2,1)", "(1,1/2)"]}
     cases = [
-        ("(0,1/2)", "(1/2,0)", root_of_rational(1, Fraction(9, 8))),
-        ("(0,1/2)", "(1/2,1)", -root_of_rational(1, Fraction(15, 8))),
-        ("(1/2,1)", "(0,1/2)", root_of_rational(1, Fraction(5, 8))),
-        ("(1/2,1)", "(1,1/2)", root_of_rational(1, Fraction(3, 8))),
-        ("(1,1/2)", "(1/2,1)", root_of_rational(1, Fraction(3, 8))),
+        ("(0,1/2)", "(1/2,0)", Radical(1, Fraction(9, 8))),
+        ("(0,1/2)", "(1/2,1)", -Radical(1, Fraction(15, 8))),
+        ("(1/2,1)", "(0,1/2)", Radical(1, Fraction(5, 8))),
+        ("(1/2,1)", "(1,1/2)", Radical(1, Fraction(3, 8))),
+        ("(1,1/2)", "(1/2,1)", Radical(1, Fraction(3, 8))),
         ("(0,1/2)", "(0,1/2)", RS_ZERO),
         ("(0,1/2)", "(1,1/2)", RS_ZERO),  # shift (1,0): not a generator step
     ]
@@ -261,7 +261,7 @@ def test_rme_adjoint_symmetry():
                 dx = bra.X.twice - ket.X.twice
                 dy = bra.Y.twice - ket.Y.twice
                 sign = -1 if (dx + dy) % 4 else 1
-                ratio = root_of_rational(
+                ratio = Radical(
                     1, Fraction((ket.X.twice + 1) * (ket.Y.twice + 1),
                                 (bra.X.twice + 1) * (bra.Y.twice + 1)))
                 assert rs(f) == rs(sign) * ratio * r
