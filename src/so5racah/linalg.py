@@ -1,23 +1,29 @@
 """Sparse exact linear algebra for the Racah system.
 
-Only what the coupling engine needs: reduced row echelon form, rank,
-null spaces, Gram matrices, the orthonormality check, and Gram-Schmidt
+Only what the coupling engine needs: null spaces, rank and reduced row
+echelon form, Gram matrices, the orthonormality check, and Gram-Schmidt
 under a dot product restricted to a set of positions.
 
 A matrix is a list of sparse rows {column: Radical}: each nonzero entry
 of a Racah relation matrix is a single radical (one generator reduced
 matrix element times one recoupling symbol).  The matrix factors as
 M = diag(sqrt a) Q diag(sqrt b) with Q rational and a_i, b_j
-squarefree.  M and Q have the same pivot columns, and row i of RREF(M)
-is row i of RREF(Q) times sqrt(b_f / b_p) at column f, p being the
-pivot column of row i.  A matrix without this form raises
-NotFactorable.
+squarefree.  M and Q have the same null space up to the column scales
+sqrt(b_j), and so the same free columns.  A matrix without this form
+raises NotFactorable.
 
-RREF(Q) comes from Gauss-Jordan over Z/p, p = 2^61 - 1, on the integer
-rows of Q, and rational reconstruction of each entry.  A certificate
-makes it exact: every null vector read off the result must pass Q v = 0
-in integers.  A failed certificate retries with more primes (CRT); there
-is no other solver.
+The null space of Q comes from Racah's recursion in the relation rows,
+run on the integer rows of Q mod p, p = 2^61 - 1: a row with one
+unknown column fixes it as a linear form in parameters, a row with none
+is a constraint, and where the walk stalls the highest unknown column
+becomes a new parameter.  The kernel of the small constraint matrix,
+by Gauss-Jordan mod p, gives the null vectors; reduced at their highest
+columns they are the canonical basis, whose free columns are the
+complement of the RREF pivots, so the rank and the RREF follow from it.
+Each entry is reconstructed as a fraction, and a certificate makes the
+result exact: every null vector must pass Q v = 0 in integers.  A zero
+pivot residue or a failed certificate moves on to more primes (CRT);
+there is no other solver.
 """
 
 from fractions import Fraction
@@ -28,12 +34,16 @@ from .exact import RS_ONE, RS_ZERO, Radical, _radical
 
 
 class ExactMatrix:
-    """Sparse matrix: entries[i] is row i as {column: nonzero Radical}."""
+    """Sparse matrix: entries[i] is row i as {column: nonzero Radical}.
+
+    rank(), nullspace() and rref() all follow from one canonical
+    null-space basis, computed once and shared.
+    """
 
     def __init__(self, entries, ncols):
         self.entries = entries
         self.ncols = ncols
-        self._rref = None
+        self._null = None
 
     @property
     def nrows(self):
@@ -43,53 +53,51 @@ class ExactMatrix:
         return [sum((v[j] * x for j, x in row.items() if not v[j].is_zero()),
                     RS_ZERO) for row in self.entries]
 
+    def nullspace(self):
+        """Canonical null-space basis: one dense vector per free column.
+
+        The free columns are those of the RREF, taken in descending
+        order.  The vector of free column f has entry 1 at f, 0 at the
+        other free columns and nonzeros only below f, so the first
+        vector carries its unit at the highest free column; downstream
+        this makes the first resolved multiplicity channel the one built
+        on the highest-weight coefficient.  A rational null vector u of
+        Q (see _factor) is the vector u_j sqrt(b_f / b_j) of the matrix.
+        The basis is built once; callers share it and must not change
+        it.
+        """
+        if self._null is None:
+            q, b = _factor(self.entries, self.ncols)
+            self._null = []
+            for u in _kernel_exact(q, self.ncols):
+                f = max(u)
+                v = [RS_ZERO] * self.ncols
+                for j, x in u.items():
+                    # the classes b are squarefree, so no square split
+                    v[j] = _radical(x.numerator, x.denominator, b[f]) \
+                        * _radical(1, b[j], b[j])
+                self._null.append(v)
+        return self._null
+
+    def rank(self):
+        return self.ncols - len(self.nullspace())
+
     def rref(self):
         """Reduced row echelon form; returns (rows, pivot column list).
 
         The RREF is the canonical one (unique for given column order);
         its rows come sparse, {column: Radical} over the nonzero
-        entries.  The rational RREF of the factor Q comes from
-        _rref_exact (elimination mod p, checked exactly); row i is then
-        mapped back to radicals through its pivot column.
+        entries.  It is read off the null space: the pivots are the
+        columns that are not free, and row i holds 1 at its pivot p and
+        minus entry p of the null vector of each free column f at f.
         """
-        if self._rref is not None:
-            return self._rref
-        q, b = _factor(self.entries, self.ncols)
-        rows, pivots = _rref_exact(q, self.ncols)
-        # the classes b are squarefree, so the rows need no square split
-        red = [{f: _radical(x.numerator, x.denominator, b[f]) * _radical(1, b[p], b[p])
-                for f, x in row.items()} for row, p in zip(rows, pivots)]
-        self._rref = (red, pivots)
-        return self._rref
-
-    def rank(self):
-        return len(self.rref()[1])
-
-    def nullspace(self):
-        """Canonical null-space basis from the RREF free columns.
-
-        One dense basis vector per free column, with entry 1 at its
-        free column, 0 at the other free columns, and the negated RREF
-        entries at the pivot columns.  Free columns are taken in
-        descending order, so the first basis vector is the one carrying
-        the unit entry at the highest column position; downstream this
-        makes the first resolved multiplicity channel the one built on
-        the highest-weight coefficient.
-        """
-        red, pivots = self.rref()
-        nc = self.ncols
-        pivset = set(pivots)
-        free = [c for c in range(nc - 1, -1, -1) if c not in pivset]
-        basis = []
-        for f in free:
-            v = [RS_ZERO] * nc
-            v[f] = RS_ONE
-            for row, pc in zip(red, pivots):
-                entry = row.get(f)
-                if entry is not None:
-                    v[pc] = -entry
-            basis.append(v)
-        return basis
+        basis = self.nullspace()
+        free = [max(j for j, x in enumerate(v) if not x.is_zero()) for v in basis]
+        pivots = sorted(set(range(self.ncols)).difference(free))
+        rows = [{p: RS_ONE} for p in pivots]
+        for row, p in zip(rows, pivots):
+            row.update((f, -v[p]) for f, v in zip(free, basis) if not v[p].is_zero())
+        return rows, pivots
 
 
 def _class(r, c):
@@ -151,45 +159,144 @@ def _factor(entries, ncols):
 _PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25, 2**64 - 59)
 
 
-def _rref_exact(q, ncols):
-    """RREF over Q of the sparse integer rows q; returns (rows, pivots).
+def _kernel_exact(q, ncols):
+    """Canonical null-space basis over Q of the sparse integer rows q.
 
-    rows[i] is row i as {column: Fraction} without zeros.
-    Gauss-Jordan runs on the residues mod p, and each entry is
-    reconstructed from its residue mod m as a fraction (Wang, Guy and
-    Davenport; m is p or a product of primes).  The null vector of
-    each free column f (1 at f, minus the row entries at the pivots)
-    must then pass Q v = 0 in integers.  That is a certificate:
-    rank mod p is at most rank over Q, and these independent vectors
-    show the nullity over Q is at least the nullity mod p, so the two
-    ranks agree, the reconstructed rows span the row space of Q, and
-    being in RREF they are its unique RREF.  If the certificate fails
-    (an unlucky prime, or entries too large for m), the next prime is
-    tried: residues with the same pivots are combined by the Chinese
-    remainder theorem, and a prime whose pivots are worse (lower rank,
-    or later pivots at equal rank, as only an unlucky prime gives) is
+    One vector {column: Fraction} without zeros per free column f of
+    the RREF, in descending f: 1 at f, 0 at the other free columns and
+    nonzeros only below f.  That is the D x ncols kernel reduced at its
+    highest columns, which fixes it uniquely.  _kernel_mod finds it mod
+    p, and each entry is reconstructed from its residue mod m as a
+    fraction (Wang, Guy and Davenport; m is p or a product of primes).
+    Every vector must then pass Q v = 0 in integers.  That is a
+    certificate: rank mod p is at most rank over Q, so the nullity over
+    Q is at most D, and the D certified vectors, independent through
+    their free columns, show it is at least D; in reduced form they are
+    then the unique canonical basis.  A prime whose walk meets a pivot
+    residue of zero is skipped.  If the certificate fails (an unlucky
+    prime, or entries too large for m), the next prime is tried: kernels
+    with the same free columns are combined by the Chinese remainder
+    theorem, and a prime whose RREF pivots are worse (lower rank, or
+    later pivots at equal rank, as only an unlucky prime gives) is
     skipped.  Running out of primes raises InternalInconsistency.
     """
     key = None
     for p in _PRIMES:
-        rows, pivots = _rref_mod(q, ncols, p)
-        new = (-len(pivots), pivots)
+        ker = _kernel_mod(q, ncols, p)
+        if ker is None:
+            continue
+        free = {max(v) for v in ker}
+        new = (len(free), [c for c in range(ncols) if c not in free])
         if key is None or new < key:
-            key, res, m = new, rows, p
+            key, res, m = new, ker, p
         elif new == key:
-            res = [{f: _crt(r.get(f, 0), m, s.get(f, 0), p)
-                    for f in r.keys() | s.keys()} for r, s in zip(res, rows)]
+            res = [{c: _crt(r.get(c, 0), m, s.get(c, 0), p) for c in r.keys() | s.keys()}
+                   for r, s in zip(res, ker)]
             m *= p
         else:
             continue
-        red = [{f: x for f, u in row.items() if (x := _rational(u, m))}
-               for row in res]
-        if _certified(q, red, pivots):
-            for row, pc in zip(red, pivots):
-                row[pc] = Fraction(1)
-            return red, pivots
+        vecs = [{c: x for c, u in v.items() if (x := _rational(u, m))} for v in res]
+        if _annihilated(q, vecs):
+            return vecs
     raise InternalInconsistency(
         "elimination not certified after %d primes" % len(_PRIMES))
+
+
+def _kernel_mod(q, ncols, p):
+    """Null space of q mod p by propagation through the rows, the walk
+    of Racah's recursion; None if a pivot residue is zero mod p.
+
+    Each column gets a linear form in parameters.  A row with one
+    column still unknown fixes that column (a pivot residue of zero
+    gives up on p); a row with none left is a constraint on the
+    parameters.  When the walk stalls, the highest unknown column
+    becomes a new parameter.  The kernel of the constraints, by
+    _rref_mod, maps to D null vectors, which come reduced at their
+    highest columns: vector i is 1 at its free column f_i, 0 at the
+    other free columns and 0 above f_i, in descending f_i.
+    """
+    by_col = [[] for _ in range(ncols)]
+    for i, row in enumerate(q):
+        for j in row:
+            by_col[j].append(i)
+    left = [len(row) for row in q]
+    ready = [i for i, n in enumerate(left) if n == 1]
+    form = [None] * ncols
+    cons, nparams, top = [], 0, ncols - 1
+
+    def fix(c, f, src):
+        form[c] = f
+        for i in by_col[c]:
+            left[i] -= 1
+            if i == src:
+                continue
+            if left[i] == 1:
+                ready.append(i)
+            elif not left[i]:
+                cons.append(i)
+
+    while True:
+        while ready:
+            i = ready.pop()
+            if left[i] != 1:
+                continue
+            acc = {}
+            for j, x in q[i].items():
+                fj = form[j]
+                if fj is None:
+                    u, piv = j, x
+                    continue
+                for k, y in fj.items():
+                    acc[k] = acc.get(k, 0) + x * y
+            if not piv % p:
+                return None
+            s = -pow(piv, -1, p)
+            fix(u, {k: r for k, y in acc.items() if (r := y * s % p)}, i)
+        while top >= 0 and form[top] is not None:
+            top -= 1
+        if top < 0:
+            break
+        fix(top, {nparams: 1}, None)
+        nparams += 1
+
+    rows = []
+    for i in cons:
+        acc = {}
+        for j, x in q[i].items():
+            for k, y in form[j].items():
+                acc[k] = acc.get(k, 0) + x * y
+        rows.append(acc)
+    red, pivots = _rref_mod(rows, nparams, p)
+    ts = []
+    for k in sorted(set(range(nparams)).difference(pivots)):
+        t = {k: 1}
+        t.update((pc, p - row[k]) for row, pc in zip(red, pivots) if k in row)
+        ts.append(t)
+    vecs = [{} for _ in ts]
+    for c, fc in enumerate(form):
+        for v, t in zip(vecs, ts):
+            if (x := sum(y * t[k] for k, y in fc.items() if k in t) % p):
+                v[c] = x
+    # reduce at the highest columns: the vector with the highest leading
+    # column is scaled to 1 there and clears that column from the others
+    out = []
+    while vecs:
+        v = max(vecs, key=max)
+        vecs.remove(v)
+        f = max(v)
+        inv = pow(v[f], -1, p)
+        v = {c: x * inv % p for c, x in v.items()}
+        for w in vecs + out:
+            a = w.pop(f, 0)
+            if a:
+                for c, x in v.items():
+                    if c != f:
+                        if (y := (w.get(c, 0) - a * x) % p):
+                            w[c] = y
+                        else:
+                            w.pop(c, None)
+        out.append(v)
+    return out
 
 
 def _rref_mod(q, ncols, p):
@@ -246,25 +353,12 @@ def _rational(u, m):
     return Fraction(r1, s1)
 
 
-def _certified(q, rows, pivots):
-    """True if every null vector read off the rows has Q v = 0 exactly."""
-    # v_f is 1 at f and -rows[i][f] at pivots[i]; d[f] v_f is integral
-    d = {}
-    for row in rows:
-        for f, x in row.items():
-            d[f] = lcm(d.get(f, 1), x.denominator)
-    w = {p: {f: x.numerator * (d[f] // x.denominator) for f, x in row.items()}
-         for p, row in zip(pivots, rows)}
-    for row in q:
-        acc = {}
-        for j, x in row.items():
-            wj = w.get(j)
-            if wj is None:
-                acc[j] = acc.get(j, 0) + x * d.get(j, 1)
-            else:
-                for f, y in wj.items():
-                    acc[f] = acc.get(f, 0) - x * y
-        if any(acc.values()):
+def _annihilated(q, vecs):
+    """True if every vector has Q v = 0 exactly."""
+    for v in vecs:
+        d = lcm(*[x.denominator for x in v.values()])
+        w = {c: x.numerator * (d // x.denominator) for c, x in v.items()}
+        if any(sum(x * w[j] for j, x in row.items() if j in w) for row in q):
             return False
     return True
 

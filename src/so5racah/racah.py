@@ -11,12 +11,15 @@ conventions pin the coefficient vectors.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankDefect
 from .exact import RS_ZERO
 from .linalg import ExactMatrix, gram, gram_schmidt, off_identity, vec_dot
-from .so4 import HALFHALF, so4_kronecker, so4_phi, so4_triangle, so4_usixj
+from .halfint import _tri2
+from .so4 import HALFHALF, so4_kronecker
 from .so5 import generator_rmes, so5_branch_so4, so5_kronecker
+from .su2 import _phi_t, _usixj_t
 
 CONVENTIONS = {
     "phase": "generalized-condon-shortley",
@@ -32,11 +35,15 @@ def outer_multiplicity(g1, g2, g):
 
 def _triples(g1, g2, lams):
     """Triangle-compatible (L1, L2, L) with L1 in branch(g1), L2 in
-    branch(g2) and L from lams, L1 outermost, then L2, then L."""
+    branch(g2) and L from lams, L1 outermost, then L2, then L; the
+    triangle rule runs on the doubled labels of both SU(2) chains."""
+    keyed = [(lam, lam.key()) for lam in lams]
     for lam1 in so5_branch_so4(g1):
+        x1, y1 = lam1.key()
         for lam2 in so5_branch_so4(g2):
-            for lam in lams:
-                if so4_triangle(lam1, lam2, lam):
+            x2, y2 = lam2.key()
+            for lam, (x, y) in keyed:
+                if _tri2(x1, x2, x) and _tri2(y1, y2, y):
                     yield lam1, lam2, lam
 
 
@@ -53,46 +60,70 @@ def enumerate_columns(g1, g2, g):
 RacahSystem = namedtuple("RacahSystem", "columns matrix row_labels n_augmented")
 
 
-def _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp):
+@lru_cache(maxsize=None)
+def _rme_pairs(g):
+    """The generator RMEs of g on doubled pairs (2X, 2Y), by bra:
+    {bra: {ket: <bra||T||ket>}}, kets in branch order.  The nonzero
+    pattern is symmetric (generator_rmes), so row lam lists the labels
+    one generator step from lam.  Built once per irrep; callers must not
+    change it."""
+    table = {lam.key(): {} for lam in so5_branch_so4(g)}
+    for ket, row in generator_rmes(g).items():
+        for bra, rme in row.items():
+            table[bra.key()][ket.key()] = rme
+    return table
+
+
+def _racah_row(rmes1, rmes2, lhs, colindex, a1, a2, a, ap, phase):
     """One relation as a sparse row {column: Radical}, or None if empty.
 
-    When lam lies outside branch(g) (the known-zero augmentation rows)
-    the left side is absent: generator_rmes(g) lists only bras in
-    branch(g).  The three kinds of term never share a column: the left
-    side carries the product label lam and the others carry lamp, and a
-    generator always changes the label it acts on, so lamp != lam and
-    the g1 and g2 terms differ in (X1Y1).  Only the labels one generator
-    step from lam1 and lam2 are visited, in branch order.
+    The labels (X1Y1), (X2Y2), (XY) and (X'Y') come as doubled pairs
+    a1, a2, a and ap, the RME tables of g1 and g2 as _rme_pairs, lhs as
+    the row of a in the table of g, and colindex maps a column's three
+    pairs to its index; phase is the interchange phase of (a1, a2, a).
+    When a lies outside branch(g) (the known-zero augmentation rows)
+    lhs is empty and so is the left side.  The three kinds of term
+    never share a column: the left side carries the product label a and
+    the others carry ap, and a generator always changes the label it
+    acts on, so ap != a and the g1 and g2 terms differ in (X1Y1).  Only
+    the labels one generator step from a1 and a2 are visited, in branch
+    order.  The SO(4) symbols are products of their X and Y SU(2) ones.
     """
+    (x1, y1), (x2, y2), (x, y), (xp, yp) = a1, a2, a, ap
     row = {}
-    rme = generator_rmes(g)[lamp].get(lam)
+    rme = lhs.get(ap)
     if rme is not None:
-        row[colindex[(lam1, lam2, lam)]] = -rme
-    phi_l = so4_phi(lam1, lam2, lam)
-    rmes1 = generator_rmes(g1)
-    for lam1p in rmes1[lam1]:
-        u = so4_usixj(lam2, lam1p, lamp, HALFHALF, lam, lam1)
+        row[colindex[a1, a2, a]] = -rme
+    for b1, rme in rmes1[a1].items():
+        u = _usixj_t(x2, b1[0], xp, 1, x, x1) * _usixj_t(y2, b1[1], yp, 1, y, y1)
         if u.is_zero():
             continue
-        row[colindex[(lam1p, lam2, lamp)]] = \
-            (phi_l * so4_phi(lam1p, lam2, lamp)) * u * rmes1[lam1p][lam1]
-    rmes2 = generator_rmes(g2)
-    for lam2p in rmes2[lam2]:
-        u = so4_usixj(lam1, lam2p, lamp, HALFHALF, lam, lam2)
+        v = u * rme
+        sign = phase * _phi_t(b1[0], x2, xp) * _phi_t(b1[1], y2, yp)
+        row[colindex[b1, a2, ap]] = v if sign > 0 else -v
+    for b2, rme in rmes2[a2].items():
+        u = _usixj_t(x1, b2[0], xp, 1, x, x2) * _usixj_t(y1, b2[1], yp, 1, y, y2)
         if u.is_zero():
             continue
-        row[colindex[(lam1, lam2p, lamp)]] = u * rmes2[lam2p][lam2]
+        row[colindex[a1, b2, ap]] = u * rme
     return row or None
 
 
 def _relations(g1, g2, g, colindex, lams):
     """Yield (labels, row) for every nonempty relation whose product
-    label lam is taken from lams, in canonical order."""
-    branch_g = so5_branch_so4(g)
+    label lam is taken from lams, in canonical order; lam' runs over
+    the labels of branch(g) one generator step from lam, (+-1/2, +-1/2)
+    away, in canonical order."""
+    rmes1, rmes2, rmes = _rme_pairs(g1), _rme_pairs(g2), _rme_pairs(g)
+    branch_g = {lamp.key(): lamp for lamp in so5_branch_so4(g)}
     for lam1, lam2, lam in _triples(g1, g2, lams):
-        for lamp in branch_g:
-            if so4_triangle(lamp, HALFHALF, lam):
-                row = _racah_row(g1, g2, g, colindex, lam1, lam2, lam, lamp)
+        a1, a2, (x, y) = lam1.key(), lam2.key(), lam.key()
+        phase = _phi_t(a1[0], a2[0], x) * _phi_t(a1[1], a2[1], y)
+        lhs = rmes.get((x, y), {})
+        for ap in ((x - 1, y - 1), (x - 1, y + 1), (x + 1, y - 1), (x + 1, y + 1)):
+            lamp = branch_g.get(ap)
+            if lamp is not None:
+                row = _racah_row(rmes1, rmes2, lhs, colindex, a1, a2, (x, y), ap, phase)
                 if row is not None:
                     yield (lam1, lam2, lam, lamp), row
 
@@ -112,7 +143,8 @@ def build_system(g1, g2, g):
     if D == 0:
         raise NotInSeries("%s not in %s x %s" % (g, g1, g2))
     columns = enumerate_columns(g1, g2, g)
-    colindex = {c: i for i, c in enumerate(columns)}
+    colindex = {(lam1.key(), lam2.key(), lam.key()): i
+                for i, (lam1, lam2, lam) in enumerate(columns)}
     ncols = len(columns)
     branch_g = so5_branch_so4(g)
 

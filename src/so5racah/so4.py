@@ -12,7 +12,7 @@ Two total orders matter and they differ:
   always means maximal in this order.
 """
 
-from .halfint import HalfInt, PairLabel, _tri2, mrange, trirange
+from .halfint import HalfInt, PairLabel, mrange, trirange
 from .su2 import _phi_t, _usixj_t, su2_cg
 
 
@@ -45,11 +45,6 @@ class So4Irrep(PairLabel):
 
 HALFHALF = So4Irrep(HalfInt(1), HalfInt(1))
 SCALAR = So4Irrep(0, 0)
-
-
-def so4_triangle(g1, g2, g):
-    return (_tri2(g1.X.twice, g2.X.twice, g.X.twice)
-            and _tri2(g1.Y.twice, g2.Y.twice, g.Y.twice))
 
 
 def so4_kronecker(g1, g2):

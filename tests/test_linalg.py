@@ -9,8 +9,8 @@ from so5racah.errors import DegenerateForm, InternalInconsistency, NotFactorable
 from so5racah.exact import RS_ONE, RS_ZERO, Radical, rs
 from so5racah.halfint import HalfInt
 from so5racah import linalg
-from so5racah.linalg import (ExactMatrix, _factor, _rref_exact, _rref_mod,
-                             gram_schmidt, vec_dot)
+from so5racah.linalg import (ExactMatrix, _factor, _kernel_exact, _kernel_mod,
+                             _rref_mod, gram_schmidt, vec_dot)
 from so5racah.racah import build_system
 from so5racah.so5 import So5Irrep, so5_kronecker
 
@@ -179,6 +179,68 @@ def test_racah_systems_are_sparse_single_radicals(racah_systems):
     assert hit == sum(1 for *_, s in racah_systems if s.matrix.nrows)
 
 
+def _rref_exact(q, ncols):
+    """RREF over Q of the sparse integer rows q by Gauss-Jordan on the
+    whole matrix mod the first prime, each entry reconstructed as a
+    fraction: the elimination the null-space walk replaced, kept as its
+    oracle.  Every null vector read off the result must pass Q v = 0."""
+    p = linalg._PRIMES[0]
+    rows, pivots = _rref_mod(q, ncols, p)
+    red = [{f: linalg._rational(u, p) for f, u in row.items()} for row in rows]
+    for f in set(range(ncols)).difference(pivots):
+        v = {f: 1, **{pc: -row[f] for row, pc in zip(red, pivots) if f in row}}
+        assert not any(sum(x * v.get(j, 0) for j, x in row.items()) for row in q)
+    for row, pc in zip(red, pivots):
+        row[pc] = Fraction(1)
+    return red, pivots
+
+
+def _by_elimination(entries, ncols):
+    """(rank, nullspace, rref) of ExactMatrix(entries, ncols) as the
+    whole-matrix elimination gives them: row i of the RREF is row i of
+    RREF(Q) times sqrt(b_f / b_p) at column f, and the null vector of
+    free column f, free columns descending, is 1 at f and minus the RREF
+    entries at the pivots."""
+    q, b = _factor(entries, ncols)
+    rows, pivots = _rref_exact(q, ncols)
+    red = [{f: Radical(x, Fraction(b[f], b[p])) for f, x in row.items()}
+           for row, p in zip(rows, pivots)]
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots), reverse=True):
+        v = [RS_ZERO] * ncols
+        v[f] = RS_ONE
+        for row, p in zip(red, pivots):
+            if f in row:
+                v[p] = -row[f]
+        basis.append(v)
+    return len(pivots), basis, (red, pivots)
+
+
+def _check_against_elimination(systems):
+    for g1, g2, g, s in systems:
+        m = s.matrix
+        rank, basis, rref = _by_elimination(m.entries, m.ncols)
+        fresh = ExactMatrix(m.entries, m.ncols)
+        assert fresh.rref() == rref, (g1, g2, g)
+        assert (fresh.rank(), fresh.nullspace()) == (rank, basis), (g1, g2, g)
+
+
+def test_walk_matches_whole_matrix_elimination(racah_systems):
+    # rank, null space and RREF, exactly, on every system with R1,R2 <= 1
+    assert len(racah_systems) == 109
+    _check_against_elimination(racah_systems)
+
+
+@pytest.mark.slow
+def test_walk_matches_whole_matrix_elimination_to_r3_2():
+    irreps = [So5Irrep(HalfInt(tr), HalfInt(ts))
+              for tr in range(4) for ts in range(tr + 1)]
+    systems = [(g1, g2, g, build_system(g1, g2, g))
+               for g1 in irreps for g2 in irreps for g in so5_kronecker(g1, g2)]
+    assert len(systems) == 501
+    _check_against_elimination(systems)
+
+
 def _sympy_rref(q, ncols):
     """sympy's RREF of sparse integer rows: (dense Fraction rows, pivots)."""
     dense = sympy.zeros(len(q), ncols)
@@ -203,12 +265,16 @@ def test_rref_matches_sympy_on_racah_systems(racah_systems):
             mats.append((m.entries[:m.nrows - s.n_augmented], m.ncols))
     assert len(mats) == 109 + 5
     for entries, ncols in mats:
-        q, _ = _factor(entries, ncols)
+        q, b = _factor(entries, ncols)
         want_rows, want_pivots = _sympy_rref(q, ncols)
         rows, pivots = _rref_exact(q, ncols)
         assert pivots == want_pivots
         assert [[row.get(c, 0) for c in range(ncols)] for row in rows] == want_rows
-        assert ExactMatrix(entries, ncols).rref()[1] == want_pivots
+        red, pivots = ExactMatrix(entries, ncols).rref()
+        assert pivots == want_pivots
+        assert red == [{f: Radical(x, Fraction(b[f], b[p]))
+                        for f, x in enumerate(dense) if x}
+                       for p, dense in zip(pivots, want_rows)]
 
 
 _SPARSE_INT = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
@@ -251,17 +317,19 @@ def test_rref_matches_sympy_on_planted_rank(case):
 
 def test_rref_rejects_an_unlucky_prime(monkeypatch):
     # 2^61 - 1 is the first modulus: mod it row 0 vanishes and the rank
-    # drops to 1, so the certificate must reject that prime
+    # drops to 1, and the walk meets that row's entry as a zero pivot
+    # residue, so it must give up on that prime
     p = 2**61 - 1
     q = [{0: p}, {1: 1}]
     assert _rref_mod(q, 2, p)[1] == [1]
-    assert _rref_exact(q, 2) == ([{0: 1}, {1: 1}], [0, 1])
+    assert _kernel_mod(q, 2, p) is None
+    assert _kernel_exact(q, 2) == []
     red, pivots = _matrix([[p, 0], [0, 1]]).rref()
     assert pivots == [0, 1]
     assert red == [{0: Radical(1, 1)}, {1: Radical(1, 1)}]
     monkeypatch.setattr(linalg, "_PRIMES", (p,))
     with pytest.raises(InternalInconsistency):
-        _rref_exact(q, 2)
+        _kernel_exact(q, 2)
 
 
 def test_rref_combines_primes_for_a_large_entry(monkeypatch):
@@ -269,7 +337,7 @@ def test_rref_combines_primes_for_a_large_entry(monkeypatch):
     # 61-bit prime (|n|, d <= 2^30) and of two (d <= 2^61): it takes the
     # residues of three primes, combined by CRT
     q = [{0: 3**40, 1: 2**41}]
-    assert _rref_exact(q, 2) == ([{0: 1, 1: Fraction(2**41, 3**40)}], [0])
+    assert _kernel_exact(q, 2) == [{0: -Fraction(2**41, 3**40), 1: 1}]
     red, pivots = _matrix([[3**40, 2**41]]).rref()
     assert pivots == [0]
     assert red == [{0: Radical(1, 1), 1: Radical(Fraction(2**41, 3**40), 1)}]
@@ -277,17 +345,63 @@ def test_rref_combines_primes_for_a_large_entry(monkeypatch):
     for n in (1, 2):
         monkeypatch.setattr(linalg, "_PRIMES", primes[:n])
         with pytest.raises(InternalInconsistency):
-            _rref_exact(q, 2)
+            _kernel_exact(q, 2)
 
 
 def test_rref_skips_a_prime_of_lower_rank():
-    # mod the second prime, 2^62 - 57, row 1 vanishes: that prime has
-    # lower rank and is skipped, and the first, third and fourth combine
+    # mod the second prime, 2^62 - 57, rows 1 and 2 agree and the rank
+    # drops: that prime has two null vectors where the others have one,
+    # so it is skipped, and the first, third and fourth combine
     p = 2**62 - 57
-    q = [{0: 3**40, 1: 2**41}, {2: p}]
-    assert _rref_mod(q, 3, p)[1] == [0]
-    assert _rref_exact(q, 3) == ([{0: 1, 1: Fraction(2**41, 3**40)}, {2: 1}],
-                                 [0, 2])
+    q = [{0: 3**40, 1: 2**41}, {2: 1, 3: 1}, {2: 1, 3: 1 + p}]
+    assert [max(v) for v in _kernel_mod(q, 4, p)] == [3, 1]
+    assert [max(v) for v in _kernel_mod(q, 4, 2**61 - 1)] == [1]
+    assert _kernel_exact(q, 4) == [{0: -Fraction(2**41, 3**40), 1: 1}]
+    assert _matrix([[3**40, 2**41, 0, 0], [0, 0, 1, 1],
+                    [0, 0, 1, 1 + p]]).rref()[1] == [0, 2, 3]
+
+
+def test_walk_adds_a_parameter_where_it_stalls():
+    # no row has a single column: the walk starts by making column 4 a
+    # parameter, which fixes column 3; columns 0, 1 and 2 form a cycle of
+    # rows with two unknowns each, so it stalls again and column 2
+    # becomes the second parameter; row 1 is then a constraint (0 = 0)
+    q = [{4: 1, 3: -2}, {0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: -1}]
+    want = [{3: Fraction(1, 2), 4: 1}, {0: 1, 1: 1, 2: 1}]
+    assert _kernel_exact(q, 5) == want
+    for p in linalg._PRIMES:
+        assert _kernel_mod(q, 5, p) == [{3: pow(2, -1, p), 4: 1}, {0: 1, 1: 1, 2: 1}]
+    m = _matrix([[0, 0, 0, -2, 1], [1, -1, 0, 0, 0], [0, 1, -1, 0, 0],
+                 [-1, 0, 1, 0, 0]])
+    assert m.rank() == 3
+    assert m.nullspace() == [[RS_ZERO, RS_ZERO, RS_ZERO, F(1, 2), RS_ONE],
+                             [RS_ONE, RS_ONE, RS_ONE, RS_ZERO, RS_ZERO]]
+    assert m.rref() == ([{0: RS_ONE, 2: F(-1)}, {1: RS_ONE, 2: F(-1)},
+                         {3: RS_ONE, 4: F(-1, 2)}], [0, 1, 3])
+
+
+def test_walk_reduces_the_kernel_at_its_highest_columns():
+    # both rows fix column 0 from columns 1 to 3; the kernel of the
+    # constraint between them comes in whatever basis elimination gives,
+    # and the null space must still be the canonical one: unit at its
+    # free column, zero at the other free column and above it
+    rows = [[1, 1, 1, 1], [1, 2, 3, 4]]
+    m = _matrix(rows)
+    rank, basis, rref = _by_elimination(m.entries, 4)
+    assert (m.rank(), m.nullspace(), m.rref()) == (rank, basis, rref) == (
+        2, [[F(2), F(-3), RS_ZERO, RS_ONE], [F(1), F(-2), RS_ONE, RS_ZERO]],
+        ([{0: RS_ONE, 2: F(-1), 3: F(-2)}, {1: RS_ONE, 2: F(2), 3: F(3)}], [0, 1]))
+
+
+def test_walk_out_of_primes_is_an_internal_inconsistency(monkeypatch):
+    # every prime meets a zero pivot residue: there is nothing to certify
+    p, p2 = linalg._PRIMES[:2]
+    monkeypatch.setattr(linalg, "_PRIMES", (p, p2))
+    with pytest.raises(InternalInconsistency, match="not certified after 2 primes"):
+        _kernel_exact([{0: p * p2}, {0: 1, 1: 1}], 2)
+    # each prime gives a null vector that the certificate rejects
+    with pytest.raises(InternalInconsistency, match="not certified after 2 primes"):
+        _matrix([[1, 1], [1, 1 + p * p2]]).nullspace()
 
 
 def test_rref_out_of_primes_is_an_internal_inconsistency():

@@ -7,7 +7,7 @@ from so5racah import racah
 from so5racah.errors import InternalInconsistency, NormInconsistency, \
     NotInSeries, RankDefect
 from so5racah.exact import RS_ZERO, parse_value, render_value, rs
-from so5racah.halfint import hi
+from so5racah.halfint import HalfInt, hi
 from so5racah.linalg import vec_dot
 from so5racah.racah import CONVENTIONS, IsoscalarBlock, build_system, \
     enumerate_columns, outer_multiplicity, solve_isoscalars, verify_block, \
@@ -105,6 +105,25 @@ def test_rank_defect_when_outside_rows_do_not_close(monkeypatch):
     g1 = So5Irrep(H, 0)
     with pytest.raises(RankDefect, match="rank 0, want 1"):
         build_system(g1, g1, So5Irrep(0, 0))
+
+
+def test_rows_without_the_interchange_phase_fail_the_rank_check(monkeypatch):
+    # the Racah rows take the interchange phase of the g1 term from
+    # su2._phi_t on the doubled labels; with every phase planted as 1,
+    # 40 of the 109 couplings with R1,R2 <= 1 leave a nullity other than
+    # D, and build_system must report each of them as a RankDefect
+    monkeypatch.setattr(racah, "_phi_t", lambda *twice: 1)
+    irreps = [So5Irrep(HalfInt(tr), HalfInt(ts)) for tr in range(3) for ts in range(tr + 1)]
+    failed = total = 0
+    for g1 in irreps:
+        for g2 in irreps:
+            for g in so5_kronecker(g1, g2):
+                total += 1
+                try:
+                    solve_isoscalars(g1, g2, g)
+                except RankDefect:
+                    failed += 1
+    assert (failed, total) == (40, 109)
 
 
 def test_multiplicity_two_block():

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from so5racah.exact import RS_ZERO, Radical, rs
-from so5racah.halfint import HalfInt, hi, jrange
+from so5racah.halfint import HalfInt, _tri2, hi, jrange
 from so5racah.so4 import HALFHALF, SCALAR, So4Irrep, so4_cg, so4_kronecker, \
-    so4_phi, so4_triangle, so4_usixj
+    so4_phi, so4_usixj
 from so5racah.so5 import So5Irrep
 
 H = Fraction(1, 2)
@@ -63,7 +63,8 @@ def test_kronecker_dim_conservation():
             assert sorted(series) == series
             assert sum(g.dim for g in series) == g1.dim * g2.dim
             for g in series:
-                assert so4_triangle(g1, g2, g)
+                assert _tri2(g1.X.twice, g2.X.twice, g.X.twice)
+                assert _tri2(g1.Y.twice, g2.Y.twice, g.Y.twice)
 
 
 def test_cg_factorizes():
