@@ -277,26 +277,12 @@ def _kernel_mod(q, ncols, p):
         for v, t in zip(vecs, ts):
             if (x := sum(y * t[k] for k, y in fc.items() if k in t) % p):
                 v[c] = x
-    # reduce at the highest columns: the vector with the highest leading
-    # column is scaled to 1 there and clears that column from the others
-    out = []
-    while vecs:
-        v = max(vecs, key=max)
-        vecs.remove(v)
-        f = max(v)
-        inv = pow(v[f], -1, p)
-        v = {c: x * inv % p for c, x in v.items()}
-        for w in vecs + out:
-            a = w.pop(f, 0)
-            if a:
-                for c, x in v.items():
-                    if c != f:
-                        if (y := (w.get(c, 0) - a * x) % p):
-                            w[c] = y
-                        else:
-                            w.pop(c, None)
-        out.append(v)
-    return out
+    # reduce at the highest columns: the RREF of the kernel read with its
+    # columns reversed
+    last = ncols - 1
+    red, lead = _rref_mod([{last - c: x for c, x in v.items()} for v in vecs], ncols, p)
+    return [{last - f: 1, **{last - c: x for c, x in row.items()}}
+            for row, f in zip(red, lead)]
 
 
 def _rref_mod(q, ncols, p):

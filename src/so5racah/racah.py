@@ -67,10 +67,11 @@ def _rme_pairs(g):
     pattern is symmetric (generator_rmes), so row lam lists the labels
     one generator step from lam.  Built once per irrep; callers must not
     change it."""
-    table = {lam.key(): {} for lam in so5_branch_so4(g)}
+    key = {lam: lam.key() for lam in so5_branch_so4(g)}
+    table = {k: {} for k in key.values()}
     for ket, row in generator_rmes(g).items():
         for bra, rme in row.items():
-            table[bra.key()][ket.key()] = rme
+            table[key[bra]][key[ket]] = rme
     return table
 
 
@@ -117,13 +118,14 @@ def _relations(g1, g2, g, colindex, lams):
     rmes1, rmes2, rmes = _rme_pairs(g1), _rme_pairs(g2), _rme_pairs(g)
     branch_g = {lamp.key(): lamp for lamp in so5_branch_so4(g)}
     for lam1, lam2, lam in _triples(g1, g2, lams):
-        a1, a2, (x, y) = lam1.key(), lam2.key(), lam.key()
+        a1, a2, a = lam1.key(), lam2.key(), lam.key()
+        x, y = a
         phase = _phi_t(a1[0], a2[0], x) * _phi_t(a1[1], a2[1], y)
-        lhs = rmes.get((x, y), {})
+        lhs = rmes.get(a, {})
         for ap in ((x - 1, y - 1), (x - 1, y + 1), (x + 1, y - 1), (x + 1, y + 1)):
             lamp = branch_g.get(ap)
             if lamp is not None:
-                row = _racah_row(rmes1, rmes2, lhs, colindex, a1, a2, (x, y), ap, phase)
+                row = _racah_row(rmes1, rmes2, lhs, colindex, a1, a2, a, ap, phase)
                 if row is not None:
                     yield (lam1, lam2, lam, lamp), row
 
