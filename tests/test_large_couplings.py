@@ -13,6 +13,10 @@ couplings (2,1) x (2,1) -> (3,2), (2,1) x (2,3/2) -> (4,5/2),
 relation matrices the solver meets below R = 4.  It was taken while
 the null space still came from Gauss-Jordan on the whole matrix.
 
+A third digest pins the canonical block of (3,2) x (3,1) -> (7/2,3/2),
+whose normalization meets radicands with large prime factors.  It was
+taken while radicands were split by trial division alone.
+
 The default run deselects this module; run it with ``pytest -m slow``.
 """
 
@@ -61,19 +65,37 @@ LARGE = {("(2,1)", "(2,1)", "(3,2)"): (992, 317, 3),
 LARGE_DIGEST = "9db18b8b765e448041c64b885128a328b57dbd620cc565c64e61148050801392"
 
 
+def _block_lines(labels, shape):
+    # one header (D and the sign fallback) and one line per column, its
+    # labels and its D values; the block must also pass verify_block,
+    # every relation row annihilating every vector
+    g1, g2, g = map(So5Irrep.parse, labels)
+    system = build_system(g1, g2, g)
+    blk = solve_isoscalars(g1, g2, g, system)
+    assert (system.matrix.nrows, system.matrix.ncols, blk.D) == shape
+    assert verify_block(blk, system) == []
+    yield ("%s x %s -> %s, D=%d, sign_fallback=%s"
+           % (g1, g2, g, blk.D, blk.meta["sign_fallback"]))
+    for col, *values in zip(blk.columns, *blk.vectors):
+        yield " ".join(map(str, (*col, *values)))
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_large_canonical_blocks_frozen():
-    # one header per coupling (D and the sign fallback) and one line per
-    # column, its labels and its D values; the blocks must also pass
-    # verify_block, every relation row annihilating every vector
-    lines = []
-    for labels, shape in LARGE.items():
-        g1, g2, g = map(So5Irrep.parse, labels)
-        system = build_system(g1, g2, g)
-        blk = solve_isoscalars(g1, g2, g, system)
-        assert (system.matrix.nrows, system.matrix.ncols, blk.D) == shape
-        assert verify_block(blk, system) == []
-        lines.append("%s x %s -> %s, D=%d, sign_fallback=%s"
-                     % (g1, g2, g, blk.D, blk.meta["sign_fallback"]))
-        for col, *values in zip(blk.columns, *blk.vectors):
-            lines.append(" ".join(map(str, (*col, *values))))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LARGE_DIGEST
+    lines = [line for labels, shape in LARGE.items() for line in _block_lines(labels, shape)]
+    assert _digest(lines) == LARGE_DIGEST
+
+
+# (3,2) x (3,1) -> (7/2,3/2): the Gram-Schmidt norms of its D = 6 vectors
+# have 44-79 bits, with squarefree parts of up to 71 bits, so the radicals
+# of its normalization need more than trial division by small primes
+WALL = (("(3,2)", "(3,1)", "(7/2,3/2)"), (4162, 1277, 6))
+
+WALL_DIGEST = "3a988a9e64994e0c7bbccf65bf662aeb2895bc90e848b0bcdf6f8126f1536616"
+
+
+def test_normalization_wall_block_frozen():
+    assert _digest(_block_lines(*WALL)) == WALL_DIGEST
