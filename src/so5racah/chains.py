@@ -16,6 +16,13 @@ bracket vectors, operator columns and the transform's memo tables are
 sparse over positions, and BracketSet.vector alone names the canonical
 states.  Sparse matrices are column-major: mat[j] is a dict {i: value}
 so that (M v)[i] = sum_j mat[j][i] * v[j].
+
+The transformation reads each chain coefficient off one product term:
+by Wigner-Eckart the chain state (k j, m = j) of g overlaps the product
+state (k1 j1, m1 = j1) x (k2 j2, m2 = j - j1) by the stretched CG
+<j1 j1; j2 j-j1 | j j>, which is positive, times the coefficient.  The
+full SU(2) projection, a sum over m1, checks every coefficient: at
+m = j - 1 when j >= 1/2, at m = 0 when j = 0.
 """
 
 from collections import Counter
@@ -42,14 +49,18 @@ class BracketSet:
     as ((So4Irrep, (M_X, M_Y)), Radical) pairs.  Chain (II) labels
     are (M_S, kappa, T, M_T); chain (III) labels are (alpha, L, M_L).
     entries is a read-only view, because the chain modules cache one set
-    per irrep and hand the same object to every caller.
+    per irrep and hand the same object to every caller.  first and
+    multiplets are the tables transform reads, built once with the set:
+    the first position of each SO(4) label in basis, and _multiplets.
     """
 
-    __slots__ = ("basis", "entries")
+    __slots__ = ("basis", "entries", "first", "multiplets")
 
     def __init__(self, basis, entries):
         self.basis = tuple(basis)
         self.entries = MappingProxyType(entries)
+        self.first = _first_positions(self.basis)
+        self.multiplets = _multiplets(entries)
 
     def labels(self):
         return list(self.entries)
@@ -70,22 +81,23 @@ def _axpy(out, c, vec):
     """out += c * vec over sparse dicts, dropping the entries that cancel;
     returns out."""
     for i, v in vec.items():
-        s = out.get(i, RS_ZERO) + c * v
-        if s.is_zero():
-            out.pop(i, None)
-        else:
+        s = out.get(i)
+        s = c * v if s is None else s + c * v
+        if s.num:
             out[i] = s
+        else:
+            out.pop(i, None)
     return out
 
 
 def _dot(terms, vec):
     """sum c * vec[i] over the (i, c) pairs of terms, vec a sparse dict."""
-    total = RS_ZERO
+    total = None
     for i, c in terms:
         d = vec.get(i)
         if d is not None:
-            total = total + c * d
-    return total
+            total = c * d if total is None else total + c * d
+    return RS_ZERO if total is None else total
 
 
 def op_apply(mat, vec):
@@ -280,13 +292,14 @@ def verify_brackets(bs, level, lower):
 
 # -- coefficient transformation --------------------------------------------
 
+@lru_cache(maxsize=None)
 def _su2_row(t1, t2, t, tm):
-    """The nonzero CGs <t1/2 m1; t2/2 m2 | t/2 tm/2> as (a1, a2, cg),
-    m1 ascending, with a1 and a2 the indices of m1 and m2 from -t1/2
-    and -t2/2."""
+    """The nonzero CGs <t1/2 m1; t2/2 m2 | t/2 tm/2> as a tuple of
+    (a1, a2, cg), m1 ascending, with a1 and a2 the indices of m1 and m2
+    from -t1/2 and -t2/2."""
     cgs = ((a1, (tm - tm1 + t2) // 2, _cg_t(t1, tm1, t2, tm - tm1, t, tm))
            for a1, tm1 in enumerate(range(-t1, t1 + 1, 2)) if abs(tm - tm1) <= t2)
-    return [c for c in cgs if not c[2].is_zero()]
+    return tuple(c for c in cgs if c[2].num)
 
 
 @lru_cache(maxsize=None)
@@ -318,13 +331,17 @@ def _multiplets(entries):
     in the order of their m = j keys: label is sector + (k, j), sector
     is its doubled ints and vectors[(2m + 2j) / 2] the bracket terms at
     m, from m = -j to j."""
+    by_label = {}
+    for key, terms in entries.items():
+        by_label.setdefault(key[:-1], {})[key[-1].twice] = terms
     out = []
     for key in entries:
         if key[-1] == key[-2]:
             lab, tj = key[:-1], key[-2].twice
+            at = by_label[lab]
             out.append((lab, tj, tuple(s.twice for s in lab[:-2]),
-                        [entries[lab + (HalfInt(tm),)] for tm in range(-tj, tj + 1, 2)]))
-    return out
+                        tuple(at[tm] for tm in range(-tj, tj + 1, 2))))
+    return tuple(out)
 
 
 def transform(block, brackets, row, order):
@@ -334,24 +351,30 @@ def transform(block, brackets, row, order):
     sector + (k, j, m).  Each label triple sector + (k, j) of g1, g2
     and g whose sectors add and whose j satisfy the triangle rule gives
     row(*lab1, *lab2, *lab, values), with one value per outer
-    multiplicity, evaluated at m = j and checked to be identical at
-    m = j - 1.  Rows are returned sorted by order.
+    multiplicity.  Rows are returned sorted by order.
+
+    By Wigner-Eckart the overlap of the chain state (k j, m) of g with
+    the product state (k1 j1 m1) x (k2 j2 m2) is <j1 m1; j2 m2 | j m>
+    times the value.  Each value is read off at m = j from the stretched
+    product term alone, m1 = j1 and m2 = j - j1, whose CG is positive in
+    the Condon-Shortley convention.  It is then checked against the full
+    SU(2) projection, the sum of CG times overlap over m1: at m = j - 1
+    for j >= 1/2, where a difference raises InternalInconsistency as an
+    m dependence, and at m = 0 for j = 0.
 
     The sum is staged over int positions in the weight bases, which are
     ordered by SO(4) label and then (M_X, M_Y).  Each canonical state of g
     is coupled once per rho from the canonical coefficients and the
     cached SO(4) CG table of each column's label triple, sparse over
     product states (p1, p2) of g1 and g2: a table entry (i1, i2, cg) is
-    offset by the first positions of lam1 and lam2.  A chain state of g,
-    at m = j and m = j - 1, sums its bracket terms over those.
-    Contracting the sum with a chain vector of g1 and taking the dot
-    product with one of g2 gives their overlap, and SU(2) CGs over m1,
-    on doubled-int weights, combine the overlaps into a row value.  The
-    memo tables, keyed by ints, live for one call.
+    offset by the first positions of lam1 and lam2.  A chain state of g
+    sums its bracket terms over those.  Contracting it with a chain
+    vector of g1 and taking the dot product with one of g2 gives their
+    overlap.  The memo tables, keyed by ints, live for one call.
     """
     sets = [brackets(g) for g in (block.g1, block.g2, block.g)]
-    first1, first2, first = map(_first_positions, (bs.basis for bs in sets))
-    mult1, mult2, mult = (_multiplets(bs.entries) for bs in sets)
+    first1, first2, first = (bs.first for bs in sets)
+    mult1, mult2, mult = (bs.multiplets for bs in sets)
     pairs = {}
     for col, (lam1, lam2, lam) in enumerate(block.columns):
         pairs.setdefault(lam, []).append(
@@ -384,9 +407,34 @@ def transform(block, brackets, row, order):
                 _axpy(psi.setdefault(p1, {}), c, prow)
         return psi
 
-    def values(psi, triples, tj, tm):
+    def contract(psi, terms):
+        """psi contracted with the g1 bracket terms, as {p2: value}."""
+        half = {}
+        for p1, c1 in terms:
+            prow = psi.get(p1)
+            if prow:
+                _axpy(half, c1, prow)
+        return half
+
+    def read_off(psi, triples, tj):
+        """[value of each (n1, n2) of triples] from the chain state psi at
+        m = j: its overlap with the stretched product state over the CG."""
+        halves = {}
+        out = []
+        for n1, n2 in triples:
+            _, tj1, _, vecs1 = mult1[n1]
+            _, tj2, _, vecs2 = mult2[n2]
+            half = halves.get(n1)
+            if half is None:
+                half = halves[n1] = contract(psi, vecs1[-1])
+            tm2 = tj - tj1
+            out.append(_dot(vecs2[(tm2 + tj2) // 2], half)
+                       / _cg_t(tj1, tj1, tj2, tm2, tj, tj))
+        return out
+
+    def project(psi, triples, tj, tm):
         """[value of each (n1, n2) of triples] at doubled weight tm of the
-        chain state psi, n1 and n2 indexing mult1 and mult2."""
+        chain state psi, as the full SU(2) projection."""
         halves = {}
         out = []
         for n1, n2 in triples:
@@ -396,13 +444,9 @@ def transform(block, brackets, row, order):
             for a1, a2, cg in _su2_row(tj1, tj2, tj, tm):
                 half = halves.get((n1, a1))
                 if half is None:
-                    half = halves[n1, a1] = {}
-                    for p1, c1 in vecs1[a1]:
-                        prow = psi.get(p1)
-                        if prow:
-                            _axpy(half, c1, prow)
+                    half = halves[n1, a1] = contract(psi, vecs1[a1])
                 dot = _dot(vecs2[a2], half)
-                if not dot.is_zero():
+                if dot.num:
                     total = total + cg * dot
             out.append(total)
         return out
@@ -417,13 +461,17 @@ def transform(block, brackets, row, order):
                    if _tri2(mult1[n1][1], mult2[n2][1], tj)]
         per_rho = []
         for rho in range(block.D):
-            at_j = values(chain_state(vecs[-1], rho), triples, tj, tj)
-            if tj >= 1:
-                below = values(chain_state(vecs[-2], rho), triples, tj, tj - 2)
-                for (n1, n2), a, b in zip(triples, at_j, below):
-                    if a != b:
-                        raise InternalInconsistency("m dependence at %s" % (
-                            (mult1[n1][0], mult2[n2][0], lab, rho + 1),))
+            top = chain_state(vecs[-1], rho)
+            at_j = read_off(top, triples, tj)
+            if tj:
+                check = project(chain_state(vecs[-2], rho), triples, tj, tj - 2)
+            else:
+                check = project(top, triples, 0, 0)
+            for (n1, n2), a, b in zip(triples, at_j, check):
+                if a != b:
+                    raise InternalInconsistency("%s at %s" % (
+                        "m dependence" if tj else "projection mismatch",
+                        (mult1[n1][0], mult2[n2][0], lab, rho + 1)))
             per_rho.append(at_j)
         for t, (n1, n2) in enumerate(triples):
             rows.append(row(*mult1[n1][0], *mult2[n2][0], *lab,

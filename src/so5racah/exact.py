@@ -29,6 +29,7 @@ single rational, e.g. -(2/5)*sqrt(5) prints as ``-sqrt(4/5)``.
 """
 
 import re
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
@@ -36,20 +37,31 @@ from math import gcd, isqrt
 from .errors import NotFactorable
 
 
+# Trial division runs to here; a leftover with no smaller factor is split
+# by Pollard-Brent rho.  Every radicand with R1,R2 <= 3/2 is done before.
+_TRIAL = 1000
+# Miller-Rabin with these bases decides primality below _MR_PROVEN
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+
+
 def _square_split(n, bound=None):
     """Write n = sq**2 * rad with rad squarefree; returns (sq, rad).
 
-    Plain trial division.  The radicands met in practice are products
-    of small factorial ratios, so the leftover after dividing out every
-    prime up to sqrt(n) is 1 or a single prime, which is squarefree.
-    With a bound, division stops there: a leftover below bound**3 has at
-    most two prime factors, so it is squarefree unless it is a square,
-    and a larger one raises ValueError.
+    Trial division by 2 and the odd numbers below _TRIAL, or below
+    bound when one is given; it stops early once d*d > n, when the
+    leftover is 1 or a prime.  Without a bound a larger leftover, whose
+    prime factors all exceed _TRIAL, is split into primes by _factor.
+    With a bound, a leftover below bound**3 has at most two prime
+    factors, so it is squarefree unless it is a square, and a larger
+    one raises ValueError.
     """
     sq = 1
     rad = 1
     d = 2
-    while d * d <= n and (bound is None or d < bound):
+    limit = _TRIAL if bound is None else bound
+    while d * d <= n and d < limit:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -59,10 +71,85 @@ def _square_split(n, bound=None):
             if e % 2:
                 rad *= d
         d += 1 if d == 2 else 2
-    if d * d <= n and n >= bound ** 3:
-        raise ValueError("radicand factor %d is too large to split" % n)
+    if d * d <= n:
+        if bound is None:
+            for p, e in Counter(_factor(n)).items():
+                sq *= p ** (e // 2)
+                if e % 2:
+                    rad *= p
+            return sq, rad
+        if n >= bound ** 3:
+            raise ValueError("radicand factor %d is too large to split" % n)
     r = isqrt(n)
     return (sq * r, rad) if r * r == n else (sq, rad * n)
+
+
+def _factor(n):
+    """The prime factors of n > 1, with repetition, when n has none below
+    _TRIAL.  Each is proven prime by Miller-Rabin; a factor of
+    _MR_PROVEN or more that Miller-Rabin cannot show composite raises
+    ValueError."""
+    if n < _TRIAL * _TRIAL or _is_prime(n):
+        if n >= _MR_PROVEN:
+            raise ValueError("cannot prove radicand factor %d prime" % n)
+        return [n]
+    r = isqrt(n)
+    if r * r == n:
+        # rho would need about r**(1/2) steps on the square of a prime r
+        return 2 * _factor(r)
+    f = _rho(n)
+    return _factor(f) + _factor(n // f)
+
+
+def _is_prime(n):
+    """Miller-Rabin on an odd n > 41 with the bases _MR_BASES: False
+    proves n composite, True proves it prime below _MR_PROVEN."""
+    d, s = n - 1, 0
+    while not d % 2:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n):
+    """A proper factor of an odd composite n by Brent's variant of
+    Pollard's rho, with the products of 128 differences taken per gcd;
+    deterministic, trying x -> x*x + c for c = 1, 2, ...."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step again from its start one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def _pair(q):

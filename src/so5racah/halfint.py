@@ -192,11 +192,6 @@ def _tri2(ta, tb, tc):
     return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
-def triangle(j1, j2, j3):
-    """Triangle condition, including the integer perimeter requirement."""
-    return _tri2(*twices(j1, j2, j3))
-
-
 def trirange(j1, j2):
     """All j3 coupling with j1 and j2."""
     j1 = HalfInt.make(j1)

@@ -12,6 +12,7 @@ conventions pin the coefficient vectors.
 
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import InternalInconsistency, NormInconsistency, NotInSeries, RankDefect
 from .exact import RS_ZERO
@@ -28,9 +29,15 @@ CONVENTIONS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _series(g1, g2):
+    """The Kronecker series of g1 x g2 as a read-only mapping, looked up
+    once per factor pair."""
+    return MappingProxyType(so5_kronecker(g1, g2))
+
+
 def outer_multiplicity(g1, g2, g):
-    series = so5_kronecker(g1, g2)
-    return series.get(g, 0)
+    return _series(g1, g2).get(g, 0)
 
 
 def _triples(g1, g2, lams):

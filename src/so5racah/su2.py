@@ -8,9 +8,9 @@ Everything returns a single Radical, which is exact and cheap.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .exact import RS_ZERO, Radical
+from .exact import RS_ZERO, Radical, _canonical, _radical
 from .halfint import _tri2, sign_pow, twices
 
 
@@ -39,27 +39,29 @@ def _cg_t(tj1, tm1, tj2, tm2, tj, tm):
         return RS_ZERO
     if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
         return RS_ZERO
-    pref2 = (
-        Fraction(tj + 1)
-        * _delta2(tj1, tj2, tj)
-        * _fac2(tj1 + tm1) * _fac2(tj1 - tm1)
-        * _fac2(tj2 + tm2) * _fac2(tj2 - tm2)
-        * _fac2(tj + tm) * _fac2(tj - tm)
-    )
+    # the squared prefactor pn/pd and the Racah series over one common
+    # denominator, all in ints
+    pn = ((tj + 1) * _fac2(tj1 + tj2 - tj) * _fac2(tj1 - tj2 + tj) * _fac2(-tj1 + tj2 + tj)
+          * _fac2(tj1 + tm1) * _fac2(tj1 - tm1) * _fac2(tj2 + tm2) * _fac2(tj2 - tm2)
+          * _fac2(tj + tm) * _fac2(tj - tm))
+    pd = _fac2(tj1 + tj2 + tj + 2)
+    g = gcd(pn, pd)
+    pn, pd = pn // g, pd // g
     k_lo = max(0, -(tj - tj2 + tm1) // 2, -(tj - tj1 - tm2) // 2)
     k_hi = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
-    for k in range(k_lo, k_hi + 1):
-        den = (
-            factorial(k)
-            * _fac2(tj1 + tj2 - tj - 2 * k)
-            * _fac2(tj1 - tm1 - 2 * k)
-            * _fac2(tj2 + tm2 - 2 * k)
-            * _fac2(tj - tj2 + tm1 + 2 * k)
-            * _fac2(tj - tj1 - tm2 + 2 * k)
-        )
-        total += Fraction(sign_pow(k), den)
-    return Radical(total, pref2)
+    dens = [
+        factorial(k)
+        * _fac2(tj1 + tj2 - tj - 2 * k)
+        * _fac2(tj1 - tm1 - 2 * k)
+        * _fac2(tj2 + tm2 - 2 * k)
+        * _fac2(tj - tj2 + tm1 + 2 * k)
+        * _fac2(tj - tj1 - tm2 + 2 * k)
+        for k in range(k_lo, k_hi + 1)
+    ]
+    common = lcm(*dens)
+    num = sum(sign_pow(k) * (common // den) for k, den in enumerate(dens, k_lo))
+    # (num/common)*sqrt(pn/pd) = (num/(common*pd))*sqrt(pn*pd)
+    return _radical(*_canonical(num, common * pd, pn * pd))
 
 
 def su2_cg(j1, m1, j2, m2, j, m):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from so5racah.errors import NotFactorable
-from so5racah.exact import RS_ONE, RS_ZERO, Radical, parse_value, render_value, rs
+from so5racah.exact import RS_ONE, RS_ZERO, Radical, _square_split, parse_value, render_value, \
+    rs
 
 try:
     import sympy
@@ -206,6 +207,64 @@ def test_parse_zero_denominator_is_malformed(s):
 def test_malformed_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# -- radicands with large prime factors ------------------------------------
+
+P31 = 2147483659          # the first two primes past 2**31
+Q31 = 2147483693
+P40 = 1099511627791       # the first prime past 2**40
+M61 = 2**61 - 1           # a Mersenne prime
+
+
+@pytest.mark.parametrize("n, split", [
+    (P31 * Q31, (1, P31 * Q31)),
+    (P31 ** 2 * 3, (P31, 3)),
+    (P31 ** 3 * P40 ** 2 * 12, (2 * P31 * P40, 3 * P31)),
+    (M61 * P31 ** 2 * 7 ** 3, (7 * P31, 7 * M61)),
+    (M61 ** 2, (M61, 1)),
+    (Q31 * M61 * (10**9 + 7), (1, Q31 * M61 * (10**9 + 7))),
+])
+def test_square_split_of_large_prime_factors(n, split):
+    assert _square_split(n) == split
+
+
+def test_square_split_of_an_unprovable_prime_is_a_value_error():
+    # 2**89 - 1 is prime, but past the range where the Miller-Rabin
+    # bases decide primality, so nothing can prove it squarefree
+    with pytest.raises(ValueError, match="cannot prove"):
+        _square_split(2**89 - 1)
+
+
+def _trial_split(n):
+    sq, rad, d = 1, 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        sq *= d ** (e // 2)
+        rad *= d ** (e % 2)
+        d += 1
+    return sq, rad * n
+
+
+@given(st.integers(1, 2**22))
+def test_square_split_matches_trial_division(n):
+    sq, rad = _square_split(n)
+    assert sq * sq * rad == n and _squarefree(rad)
+    assert (sq, rad) == _trial_split(n)
+
+
+@given(st.lists(st.sampled_from([2, 3, 1009, 65537, P31, Q31]), max_size=6))
+def test_square_split_of_products_of_primes(primes):
+    n, sq, rad = 1, 1, 1
+    for p in set(primes):
+        e = primes.count(p)
+        n *= p ** e
+        sq *= p ** (e // 2)
+        rad *= p ** (e % 2)
+    assert _square_split(n) == (sq, rad)
 
 
 def test_decimal_emission():

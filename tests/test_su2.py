@@ -4,10 +4,14 @@ from itertools import product
 import pytest
 
 from so5racah.exact import RS_ZERO, Radical, rs
-from so5racah.halfint import hi, jrange, mrange, triangle, trirange
+from so5racah.halfint import _tri2, hi, jrange, mrange, trirange, twices
 from so5racah.su2 import su2_cg, su2_phi, su2_sixj, su2_usixj
 
 H = Fraction(1, 2)
+
+
+def triangle(j1, j2, j3):
+    return _tri2(*twices(j1, j2, j3))
 
 
 def test_cg_frozen_values():

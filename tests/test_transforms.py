@@ -20,15 +20,16 @@ import hashlib
 
 import pytest
 
-from so5racah.angmom import chain3_transform
-from so5racah.chains import _so4_coupling
+from so5racah.angmom import Chain3Row, chain3_brackets, chain3_transform
+from so5racah.chains import BracketSet, _so4_coupling, transform
 from so5racah.errors import InternalInconsistency
 from so5racah.formats import canonical_json, chain2_record, chain3_record
 from so5racah.halfint import HalfInt
-from so5racah.isospin import chain2_transform
+from so5racah.isospin import Chain2Row, chain2_brackets, chain2_transform
 from so5racah.racah import IsoscalarBlock, enumerate_columns, solve_isoscalars
 from so5racah.so4 import so4_cg
 from so5racah.so5 import So5Irrep, so5_kronecker
+from so5racah.su2 import _cg_t
 
 CHAINS = {
     "isospin": (chain2_transform, chain2_record),
@@ -137,3 +138,89 @@ def test_transform_rejects_m_dependence(chain):
     bad = IsoscalarBlock(g1, g2, g, blk.columns, vectors, blk.meta)
     with pytest.raises(InternalInconsistency):
         CHAINS[chain][0](bad)
+
+
+# -- planted faults in the brackets -----------------------------------------
+#
+# transform reads each value at m = j off the stretched product term,
+# which takes the top (m1 = j1) vector of each g1 multiplet, and checks it
+# against the full SU(2) projection at m = j - 1, which takes every m1,
+# or at m = 0 when j = 0.  Negating one g1 bracket vector must make the
+# two disagree wherever that vector enters.
+
+BRACKETS = {"isospin": chain2_brackets, "angmom": chain3_brackets}
+
+
+def _negated(bs, key):
+    entries = dict(bs.entries)
+    entries[key] = tuple((i, -c) for i, c in entries[key])
+    return BracketSet(bs.basis, entries)
+
+
+def _with_g1_set(brackets, block, g1_set):
+    # transform asks for the sets of g1, g2 and g in that order; g1 and g2
+    # may be the same irrep, so the call order picks out g1's
+    sets = iter([g1_set, brackets(block.g2), brackets(block.g)])
+
+    def wrapped(g):
+        return next(sets)
+    return wrapped
+
+
+def _planted(chain, labels, offset):
+    """(multiplet label, transform call) for each multiplet of g1 with
+    j >= 1, its vector at m = j - offset negated; consume one at a time."""
+    g1, g2, g = (So5Irrep.parse(s) for s in labels)
+    blk = solve_isoscalars(g1, g2, g)
+    brackets = BRACKETS[chain]
+    bs = brackets(g1)
+    for lab, tj, _, _ in bs.multiplets:
+        if tj >= 2:
+            key = lab + (lab[-1] - offset,)
+            g1_set = _negated(bs, key)
+            yield lab, lambda: transform(blk, _with_g1_set(brackets, blk, g1_set),
+                                         CHAINS_ROWS[chain], lambda r: 0)
+
+
+CHAINS_ROWS = {"isospin": Chain2Row, "angmom": Chain3Row}
+PLANTED = ("(1,1)", "(1/2,1/2)", "(3/2,1/2)")
+# the multiplets of (1,1) with j >= 1 in each chain
+PLANTED_J1 = {"isospin": 3, "angmom": 2}
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["top", "below-top"])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_transform_rejects_a_negated_g1_vector(chain, offset):
+    count = 0
+    for lab, call in _planted(chain, PLANTED, offset):
+        with pytest.raises(InternalInconsistency, match="m dependence"):
+            call()
+        count += 1
+    assert count == PLANTED_J1[chain]
+
+
+@pytest.mark.parametrize("g", ["(1/2,1/2)", "(1,0)", "(1,1)", "(3/2,1/2)"])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_transform_checks_rows_with_j_zero(chain, g):
+    # in g x g -> (0,0) every row has j = 0, so no m = j - 1 check exists;
+    # the read-off is compared with the projection at m = 0 instead
+    count = 0
+    for lab, call in _planted(chain, (g, g, "(0,0)"), 0):
+        with pytest.raises(InternalInconsistency, match="projection mismatch"):
+            call()
+        count += 1
+    assert count
+
+
+def test_stretched_cg_is_positive():
+    # <j1 j1; j2 j-j1 | j j> > 0 in the Condon-Shortley convention, on
+    # every triangle with 2j1, 2j2 <= 20, so the read-off divides by a
+    # nonzero value with a known sign
+    count = 0
+    for tj1 in range(21):
+        for tj2 in range(21):
+            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                cg = _cg_t(tj1, tj1, tj2, tj - tj1, tj, tj)
+                assert cg.num > 0, (tj1, tj2, tj)
+                count += 1
+    assert count == 3311

@@ -2,19 +2,26 @@
 
 A function, class or constant in src/so5racah that nothing in
 src/so5racah or perfbench/ refers to, outside its own definition, is
-dead code unless it is listed in KEPT with the reason it stays.  A
-reference is a name, an attribute, an imported name, or a string that
-is a dotted identifier (the benchmark names the functions it traces by
-strings).  Click commands are reached through the CLI group and are
-exempt.
+dead code unless it is listed in KEPT with the reason it stays.  Click
+commands are reached through the CLI group and are exempt.
+
+In the engine a reference is a name, an attribute, an imported name, or
+a string that is a dotted identifier.  In the benchmark a reference
+counts only when it names the engine: a name imported from so5racah, an
+attribute of an engine module (m.racah.build_system, cli.main), or a
+trace target, whose dotted name so5racah.<module>.<name> the benchmark
+builds from strings.  A bare name that the benchmark defines itself
+does not count.
 """
 
 import ast
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "so5racah"
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 KEPT = {
     "coupled_commutator": "its commutator tests check that the generator "
@@ -58,6 +65,36 @@ def _referenced(stmt):
     return out
 
 
+def _engine_references(stmt):
+    """What a benchmark statement names of the engine: names imported
+    from so5racah and attributes of an engine module."""
+    out = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "so5racah":
+            out.update(a.name for a in n.names)
+        elif isinstance(n, ast.Attribute):
+            base = n.value
+            if getattr(base, "id", getattr(base, "attr", None)) in MODULES:
+                out.add(n.attr)
+    return out
+
+
+def _target_references():
+    """The names in the dotted so5racah.<module>.<name> of every trace
+    target of the benchmark."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    out = set()
+    for t in workloads.targets(workloads.LayerStats()):
+        package, module = t.owner.split(".")
+        assert package == "so5racah" and module in MODULES, t.owner
+        out.update(t.attr.split("."))
+    return out
+
+
 def _is_command(stmt):
     return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
                and d.func.attr == "command"
@@ -66,12 +103,17 @@ def _is_command(stmt):
 
 def _unused():
     defs, statements = {}, []
-    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             names = _defined(stmt)
-            if path.parent == SRC and not _is_command(stmt):
+            if not _is_command(stmt):
                 defs.update(dict.fromkeys(names, path.name))
             statements.append((names, _referenced(stmt)))
+    bench = _target_references()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            bench |= _engine_references(stmt)
+    statements.append((set(), bench))
     return {name: module for name, module in defs.items()
             if not any(name in refs and name not in names
                        for names, refs in statements)}
