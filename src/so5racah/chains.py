@@ -299,7 +299,7 @@ def _su2_row(t1, t2, t, tm):
     from -t1/2 and -t2/2."""
     cgs = ((a1, (tm - tm1 + t2) // 2, _cg_t(t1, tm1, t2, tm - tm1, t, tm))
            for a1, tm1 in enumerate(range(-t1, t1 + 1, 2)) if abs(tm - tm1) <= t2)
-    return tuple(c for c in cgs if c[2].num)
+    return tuple(c for c in cgs if not c[2].is_zero())
 
 
 @lru_cache(maxsize=None)
@@ -446,7 +446,7 @@ def transform(block, brackets, row, order):
                 if half is None:
                     half = halves[n1, a1] = contract(psi, vecs1[a1])
                 dot = _dot(vecs2[a2], half)
-                if dot.num:
+                if not dot.is_zero():
                     total = total + cg * dot
             out.append(total)
         return out
