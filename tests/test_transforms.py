@@ -148,7 +148,7 @@ def test_transform_rejects_m_dependence(chain):
 # or at m = 0 when j = 0.  Negating one g1 bracket vector must make the
 # two disagree wherever that vector enters.
 
-BRACKETS = {"isospin": chain2_brackets, "angmom": chain3_brackets}
+BRACKETS = {"isospin": (chain2_brackets, Chain2Row), "angmom": (chain3_brackets, Chain3Row)}
 
 
 def _negated(bs, key):
@@ -161,28 +161,23 @@ def _with_g1_set(brackets, block, g1_set):
     # transform asks for the sets of g1, g2 and g in that order; g1 and g2
     # may be the same irrep, so the call order picks out g1's
     sets = iter([g1_set, brackets(block.g2), brackets(block.g)])
-
-    def wrapped(g):
-        return next(sets)
-    return wrapped
+    return lambda g: next(sets)
 
 
 def _planted(chain, labels, offset):
-    """(multiplet label, transform call) for each multiplet of g1 with
-    j >= 1, its vector at m = j - offset negated; consume one at a time."""
+    """A transform call for each multiplet of g1 with j >= 1, its vector
+    at m = j - offset negated; make each call before taking the next."""
     g1, g2, g = (So5Irrep.parse(s) for s in labels)
     blk = solve_isoscalars(g1, g2, g)
-    brackets = BRACKETS[chain]
+    brackets, row = BRACKETS[chain]
     bs = brackets(g1)
     for lab, tj, _, _ in bs.multiplets:
         if tj >= 2:
-            key = lab + (lab[-1] - offset,)
-            g1_set = _negated(bs, key)
-            yield lab, lambda: transform(blk, _with_g1_set(brackets, blk, g1_set),
-                                         CHAINS_ROWS[chain], lambda r: 0)
+            g1_set = _negated(bs, lab + (lab[-1] - offset,))
+            yield lambda: transform(blk, _with_g1_set(brackets, blk, g1_set), row,
+                                    lambda r: 0)
 
 
-CHAINS_ROWS = {"isospin": Chain2Row, "angmom": Chain3Row}
 PLANTED = ("(1,1)", "(1/2,1/2)", "(3/2,1/2)")
 # the multiplets of (1,1) with j >= 1 in each chain
 PLANTED_J1 = {"isospin": 3, "angmom": 2}
@@ -192,7 +187,7 @@ PLANTED_J1 = {"isospin": 3, "angmom": 2}
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_transform_rejects_a_negated_g1_vector(chain, offset):
     count = 0
-    for lab, call in _planted(chain, PLANTED, offset):
+    for call in _planted(chain, PLANTED, offset):
         with pytest.raises(InternalInconsistency, match="m dependence"):
             call()
         count += 1
@@ -205,7 +200,7 @@ def test_transform_checks_rows_with_j_zero(chain, g):
     # in g x g -> (0,0) every row has j = 0, so no m = j - 1 check exists;
     # the read-off is compared with the projection at m = 0 instead
     count = 0
-    for lab, call in _planted(chain, (g, g, "(0,0)"), 0):
+    for call in _planted(chain, (g, g, "(0,0)"), 0):
         with pytest.raises(InternalInconsistency, match="projection mismatch"):
             call()
         count += 1
